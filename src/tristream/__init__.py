@@ -2,7 +2,7 @@
 
 The stream is a sequence of edge insertions and deletions over a fixed
 vertex universe; the quantities of interest are those of the final graph.
-``estimate_triangles`` runs the one-pass estimator, ``oracles`` holds the
+``estimate_triangles`` runs the estimator, ``oracles`` holds the
 exact references, and ``DoulionCounter`` is the sampling baseline.
 """
 

@@ -1,20 +1,28 @@
 """End-to-end triangle and transitivity estimation over an edge stream.
 
-One pass feeds a degree sketch (for the 2-path count) and K independently
-seeded sparsifier copies.  Each copy that certifies enough pairwise
-independent 2-paths contributes one indicator: whether a uniformly sampled
-2-path of its sparsified graph closes into a triangle.  The mean indicator
-estimates the transitivity alpha, and T3 = alpha * P2 / 3.
+The estimate is a function of the final graph alone, so the stream is
+netted once: one sorting pass checks the turnstile contract and leaves the
+edges live at the end.  Those feed a degree sketch (for the 2-path count;
+the sketch is linear, so the netted edges give the same counters as every
+event) and K independently seeded colorings.  Each copy keeps the
+monochromatic live edges as a CSR adjacency over the live vertices.  A copy
+that certifies enough pairwise independent 2-paths contributes one
+indicator: whether a uniformly sampled 2-path of its graph closes into a
+triangle.  The mean indicator estimates the transitivity alpha, and
+T3 = alpha * P2 / 3.  Memory is O(events) for the event arrays and the
+netting pass, plus O(live edges) for one copy at a time.
 """
 
 import math
 import random
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .hashing import mix2
 from .indep_paths import greedy_independent_count
-from .sparsifier import ColoringFunction, SparsifiedGraph
-from .stream_core import events_to_arrays
+from .sparsifier import ColoringFunction
+from .stream_core import StreamConfig, events_to_arrays, net_events
 from .two_path import TwoPathEstimator
 
 _SKETCH_TAG = (1 << 40) + 1  # domain separation from copy indices
@@ -144,49 +152,96 @@ class Report:
         }
 
 
+class _CopyGraph:
+    """One copy's kept edges as CSR adjacency over the live vertices.
+
+    Vertices are numbered 0..V-1 in id order, so row ``v`` lists its
+    neighbors ``indices[indptr[v]:indptr[v+1]]`` in ascending id order, and
+    ``cum`` holds the running sum of C(d,2) over the rows.
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray, num_vertices: int):
+        # The pairs come sorted with a < b.  Each edge is listed once from its
+        # larger endpoint, then once from its smaller; a stable sort on the
+        # row then leaves every row ascending.
+        rows = np.concatenate([b, a])
+        self.indices = np.concatenate([a, b])[np.argsort(rows, kind="stable")]
+        degrees = np.bincount(rows, minlength=num_vertices)
+        self.indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+        np.cumsum(degrees, out=self.indptr[1:])
+        self.cum = np.cumsum(degrees * (degrees - 1) // 2)
+        self.m_prime = a.size
+        self.p2_total = int(self.cum[-1]) if num_vertices else 0
+
+    def sample_two_path(self, rng: random.Random) -> tuple[int, int, int]:
+        """A uniform 2-path (u, center, w), u < w, in vertex numbers; needs p2_total > 0.
+
+        The center comes with probability C(d,2)/P2 by inverse CDF over
+        ``cum``, then two distinct neighbors uniformly, so every 2-path has
+        probability exactly 1/P2.
+        """
+        indptr = self.indptr
+        c = int(self.cum.searchsorted(rng.randrange(self.p2_total), side="right"))
+        lo, d = int(indptr[c]), int(indptr[c + 1] - indptr[c])
+        i = rng.randrange(d)
+        j = rng.randrange(d - 1)
+        u, w = int(self.indices[lo + i]), int(self.indices[lo + j + (j >= i)])
+        return (u, c, w) if u < w else (w, c, u)
+
+    def has_edge(self, u: int, w: int) -> bool:
+        """Binary search for ``w`` in the sorted row of ``u``."""
+        row = self.indices[self.indptr[u]:self.indptr[u + 1]]
+        k = int(row.searchsorted(w))
+        return k < row.size and row[k] == w
+
+
 def estimate_triangles(events, cfg: EstimatorConfig) -> Report:
     """Run the full estimator over a turnstile stream (deletions included).
 
-    The input is consumed once.  Copies are processed sequentially so only
-    one sparsified graph is held at a time; with a single color every copy
-    retains the whole graph, so one shared structure serves all of them and
-    every copy with any 2-path qualifies (sampling is then exactly uniform
-    on the input graph, no certification threshold applies).
+    The stream must keep the contract of ``stream_core.materialize`` with
+    capacity ``cfg.m_max``; a violation raises the same ``StreamError`` with
+    the index of the first offending event, before any sketch work.  Copies
+    are built one at a time from the netted edges.  With a single color
+    every copy retains the whole graph, so one shared CSR serves all of them
+    and every copy with any 2-path qualifies (sampling is then exactly
+    uniform on the input graph, no certification threshold applies).
     """
-    arrays = events_to_arrays(events)
-    us, vs, signs = arrays
+    us, vs, signs = events_to_arrays(events)
+    us, vs = net_events(us, vs, signs, StreamConfig(n=cfg.n, m_max=cfg.m_max))
+    del signs
 
     tp = TwoPathEstimator(cfg.n, cfg.epsilon, cfg.delta, seed=mix2(cfg.seed, _SKETCH_TAG))
-    tp.update_many(arrays)
+    tp.update_many((us, vs, np.ones(us.size, dtype=np.int64)))
     p2_hat = max(0.0, tp.estimate())
 
-    full_retention = cfg.colors == 1
-    shared = None
-    if full_retention:
-        shared = SparsifiedGraph(cfg.n, ColoringFunction(0, 1))
-        shared.apply_events(us, vs, signs)
+    # update_many above sorts the same endpoints once more; sharing that sort
+    # would reach into the sketch past TwoPathEstimator, for about 2% here.
+    vertices, ends = np.unique(np.concatenate([us, vs]), return_inverse=True)
+    lu, lv = ends[:us.size], ends[us.size:]
+    del us, vs
+    shared = _CopyGraph(lu, lv, vertices.size) if cfg.colors == 1 else None
 
     diagnostics: list[CopyDiagnostic] = []
     x_sum = 0
     ell = 0
     for i in range(cfg.k):
         seed_i = mix2(cfg.seed, i)
-        if full_retention:
-            gs = shared
-            qualified = gs.p2_total > 0
+        if shared is not None:
+            g = shared
+            qualified = g.p2_total > 0
         else:
-            gs = SparsifiedGraph(cfg.n, ColoringFunction(seed_i, cfg.colors))
-            gs.apply_events(us, vs, signs)
-            qualified = greedy_independent_count(gs.adj, cfg.s) >= cfg.s
+            colors = ColoringFunction(seed_i, cfg.colors).colors_of(vertices)
+            keep = colors[lu] == colors[lv]
+            g = _CopyGraph(lu[keep], lv[keep], vertices.size)
+            qualified = greedy_independent_count(g.indptr, g.indices, cfg.s) >= cfg.s
         indicator = None
         if qualified:
-            rng = random.Random(mix2(seed_i, _SAMPLE_TAG))
-            u, center, w = gs.sample_two_path(rng)
-            indicator = 1 if gs.has_edge(u, w) else 0
+            u, _, w = g.sample_two_path(random.Random(mix2(seed_i, _SAMPLE_TAG)))
+            indicator = 1 if g.has_edge(u, w) else 0
             x_sum += indicator
             ell += 1
         diagnostics.append(
-            CopyDiagnostic(i, seed_i, gs.m_prime, gs.p2_total, qualified, indicator)
+            CopyDiagnostic(i, seed_i, g.m_prime, g.p2_total, qualified, indicator)
         )
 
     if ell == 0:

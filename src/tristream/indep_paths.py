@@ -12,6 +12,8 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 
+import numpy as np
+
 TwoPath = tuple[int, int, int]  # (u, center, w) with u < w
 
 
@@ -27,21 +29,22 @@ class HasIsolatedEdgesError(ValueError):
     pass
 
 
-def greedy_independent_count(adj: dict[int, set[int]], target: int | None = None) -> int:
+def greedy_independent_count(indptr, indices, target: int | None = None) -> int:
     """Size of a maximal independent set of 2-paths, built greedily.
 
-    Centers are visited by ascending vertex id and neighbor pairs in
-    lexicographic order; a candidate is kept iff it shares at most one
-    vertex with every path already selected.  Conflict checks go through a
-    vertex -> selected-path incidence map.  Stops early at ``target``.
+    The graph comes as CSR adjacency over vertices 0..V-1: row ``v`` is
+    ``indices[indptr[v]:indptr[v+1]]``, sorted ascending (``csr_from_adj``
+    converts a dict of neighbor sets).  Centers are visited in ascending
+    order and neighbor pairs in lexicographic order; a candidate is kept iff
+    it shares at most one vertex with every path already selected.
+    Conflict checks go through a vertex -> selected-path incidence map.
+    Stops early at ``target``.
     """
+    indptr, indices = np.asarray(indptr), np.asarray(indices)
     selected_at: dict[int, list[int]] = {}
     count = 0
-    for v in sorted(adj):
-        nbrs = adj[v]
-        if len(nbrs) < 2:
-            continue
-        ordered = sorted(nbrs)
+    for v in np.flatnonzero(np.diff(indptr) >= 2).tolist():
+        ordered = indices[indptr[v]:indptr[v + 1]].tolist()
         for i in range(len(ordered) - 1):
             u = ordered[i]
             for j in range(i + 1, len(ordered)):
@@ -57,6 +60,21 @@ def greedy_independent_count(adj: dict[int, set[int]], target: int | None = None
                 if target is not None and count >= target:
                     return count
     return count
+
+
+def csr_from_adj(adj: dict[int, set[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """CSR form of a dict of neighbor sets, vertices renumbered 0..V-1 by id.
+
+    Renumbering keeps the order of ids, so sorted rows stay sorted and
+    ``greedy_independent_count`` visits the same paths in the same order.
+    """
+    vertices = sorted(adj)
+    pos = {x: i for i, x in enumerate(vertices)}
+    degrees = np.array([len(adj[x]) for x in vertices], dtype=np.int64)
+    indptr = np.zeros(degrees.size + 1, dtype=np.int64)
+    np.cumsum(degrees, out=indptr[1:])
+    indices = np.array([pos[y] for x in vertices for y in sorted(adj[x])], dtype=np.int64)
+    return indptr, indices
 
 
 def enumerate_two_paths(adj: dict[int, set[int]]) -> list[TwoPath]:
@@ -235,7 +253,7 @@ def verify_lower_bounds(adj: dict[int, set[int]]) -> LowerBoundReport:
                 raise HasIsolatedEdgesError(f"edge ({u}, {v}) is an isolated edge")
     n = len(adj)
     m = sum(len(s) for s in adj.values()) // 2
-    greedy = greedy_independent_count(adj)
+    greedy = greedy_independent_count(*csr_from_adj(adj))
     tree_witness = len(spanning_tree_two_paths(adj))
     # greedy builds a maximal set, which meets the m/9 and m/18 floors on
     # its own; the ceil(n/2)-1 floor needs the spanning-tree construction.

@@ -8,6 +8,12 @@ mass and hold no slot, and isolated vertices are evicted.  Updates are O(1)
 per endpoint;
 drawing a uniform 2-path costs O(log n) expected per draw with acceptance
 probability above 1/2.
+
+``SparsifiedGraph`` is the paper's incremental structure, for streams fed
+event by event.  The estimator does not use it: the estimate depends only
+on the final graph, so ``estimator`` nets the stream once and builds each
+copy from the live edges as a CSR adjacency, colored by the same
+``ColoringFunction``.
 """
 
 import numpy as np

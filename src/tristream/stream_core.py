@@ -146,6 +146,8 @@ def materialize(events: Iterable[EdgeEvent], cfg: StreamConfig) -> AdjacencyGrap
                 raise LoopEdgeError(f"self-loop at vertex {e.u}")
             if e.u > e.v:
                 raise StreamFormatError(f"event not normalized: ({e.u}, {e.v})")
+            if e.sign not in (1, -1):
+                raise StreamFormatError(f"sign must be +1 or -1, got {e.sign}")
             if e.u < 1 or e.v > cfg.n:
                 raise OutOfUniverseError(f"endpoint outside [1, {cfg.n}]: ({e.u}, {e.v})")
             apply_event(g, e)
@@ -154,6 +156,74 @@ def materialize(events: Iterable[EdgeEvent], cfg: StreamConfig) -> AdjacencyGrap
         except StreamError as err:
             raise type(err)(f"event {i}: {err}") from None
     return g
+
+
+def net_events(
+    us: np.ndarray, vs: np.ndarray, signs: np.ndarray, cfg: StreamConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Check a whole event array against the contract; return the final live edges.
+
+    Array form of ``materialize``: it accepts and rejects the same streams
+    with the same error, message and event index, and at one event it keeps
+    the same precedence (loop, normalization and sign, universe, insert or
+    delete, capacity).  The events are stable-sorted on the key
+    ``u*(n+1) + v``.  An edge's running multiplicity stays in {0, 1} exactly
+    when its signs alternate starting with +1, so a repeated sign is a
+    duplicate insert or a delete of an absent edge.  The running sum of all
+    signs is the live count, checked against ``m_max``.  The endpoint
+    arrays are read as signed 64-bit integers, so a negative endpoint that
+    ``events_to_arrays`` stored as its uint64 bit pattern is reported as
+    ``materialize`` reports it.  Returns (us, vs) of the edges live at the
+    end, sorted by (u, v).
+    """
+    n = cfg.n
+    if n >= 1 << 32:
+        raise ValueError(f"universe too large for 64-bit edge keys: n={n}")
+    su, sv = us.view(np.int64), vs.view(np.int64)
+    size = us.size
+    malformed = (su == sv) | (su > sv) | (np.abs(signs) != 1) | (su < 1) | (sv > n)
+    first_bad = int(np.argmax(malformed)) if size else 0
+    k = first_bad if size and malformed[first_bad] else size
+    del malformed
+    # every event before k is well formed; the order checks run on those
+    ps = signs[:k]
+    key = us[:k].astype(np.uint64)
+    key *= np.uint64(n + 1)
+    key += vs[:k].astype(np.uint64, copy=False)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    s = ps[order]
+    same = key[1:] == key[:-1]
+    repeat = np.empty(k, dtype=bool)
+    repeat[:1] = s[:1] != 1
+    repeat[1:] = np.where(same, s[1:] == s[:-1], s[1:] != 1)
+    first_repeat = int(order[repeat].min()) if repeat.any() else size
+    over = np.flatnonzero(np.cumsum(ps) > cfg.m_max)
+    first_over = int(over[0]) if over.size else size
+
+    i = min(first_repeat, first_over, k)
+    if i < size:
+        u, v, sign = int(su[i]), int(sv[i]), int(signs[i])
+        if i == first_repeat and sign == 1:
+            kind, message = DuplicateInsertError, f"edge ({u}, {v}) already live"
+        elif i == first_repeat:
+            kind, message = DeleteAbsentError, f"edge ({u}, {v}) not live"
+        elif i == first_over:
+            kind, message = OverCapacityError, f"live edges exceed m_max={cfg.m_max}"
+        elif u == v:
+            kind, message = LoopEdgeError, f"self-loop at vertex {u}"
+        elif u > v:
+            kind, message = StreamFormatError, f"event not normalized: ({u}, {v})"
+        elif sign not in (1, -1):
+            kind, message = StreamFormatError, f"sign must be +1 or -1, got {sign}"
+        else:
+            kind, message = OutOfUniverseError, f"endpoint outside [1, {n}]: ({u}, {v})"
+        raise kind(f"event {i}: {message}")
+
+    # an edge is live at the end iff the last event of its key inserts it
+    last = np.flatnonzero(np.append(~same, True) & (s == 1))
+    live = order[last]
+    return us[live], vs[live]
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +272,11 @@ def write_stream(events: Iterable[EdgeEvent], f: IO[str]) -> None:
 def events_to_arrays(events) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical array form (u, v, sign) used by the batched ingest paths.
 
-    Accepts a list of EdgeEvent or an already-built array triple.
+    Accepts any iterable of EdgeEvent, generators included, or an
+    already-built array triple, which passes through.  Endpoints are read
+    as 64-bit signed integers and stored as their uint64 bit pattern, so a
+    negative endpoint wraps the same way as in a prebuilt int64 array;
+    ``net_events`` reads them back signed.
     """
     if isinstance(events, tuple) and len(events) == 3:
         u, v, s = events
@@ -211,7 +285,9 @@ def events_to_arrays(events) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.ascontiguousarray(v, dtype=np.uint64),
             np.ascontiguousarray(s, dtype=np.int64),
         )
-    us = np.fromiter((e.u for e in events), dtype=np.uint64, count=len(events))
-    vs = np.fromiter((e.v for e in events), dtype=np.uint64, count=len(events))
+    if not hasattr(events, "__len__"):
+        events = list(events)
+    us = np.fromiter((e.u for e in events), dtype=np.int64, count=len(events)).view(np.uint64)
+    vs = np.fromiter((e.v for e in events), dtype=np.int64, count=len(events)).view(np.uint64)
     ss = np.fromiter((e.sign for e in events), dtype=np.int64, count=len(events))
     return us, vs, ss

@@ -1,4 +1,4 @@
-"""Shared fixture graphs for the test suite.
+"""Shared fixture graphs and stream strategies for the test suite.
 
 Edge lists use 1-based vertex ids with u < v.  NAMED_GRAPHS maps a label to
 (edges, known stats) where the stats were computed by hand or by exhaustive
@@ -7,7 +7,9 @@ enumeration, independently of the library code.
 
 import random
 
-from tristream.stream_core import AdjacencyGraph
+from hypothesis import strategies as st
+
+from tristream.stream_core import AdjacencyGraph, EdgeEvent, StreamError
 
 
 def adjacency(edges) -> AdjacencyGraph:
@@ -44,3 +46,31 @@ def random_graph_edges(rng: random.Random, n_max: int = 40):
         if rng.random() < p
     ]
     return edges, n
+
+
+@st.composite
+def small_streams(draw):
+    """(n, m_max, events): short streams over a tiny universe, valid or not.
+
+    Most pairs are normalized and inside [1, n] and most signs are +-1, so
+    the order and capacity checks are reached as often as the format ones.
+    The other pairs draw endpoints from [-1, n+1], negative ones included.
+    """
+    n = draw(st.integers(2, 5))
+    m_max = draw(st.integers(1, 6))
+    good = st.tuples(st.integers(1, n), st.integers(1, n)).filter(lambda p: p[0] < p[1])
+    raw = st.tuples(st.integers(-1, n + 1), st.integers(-1, n + 1))
+    pair = st.one_of(good, good, good, raw)
+    sign = st.sampled_from((1, 1, 1, -1, -1, -1, 0, 2))
+    events = draw(st.lists(st.builds(lambda p, s: EdgeEvent(p[0], p[1], s), pair, sign),
+                           max_size=14))
+    return n, m_max, events
+
+
+def contract_outcome(fn):
+    """None if ``fn`` runs, else the type and message of the StreamError it raises."""
+    try:
+        fn()
+    except StreamError as err:
+        return type(err), str(err)
+    return None

@@ -2,8 +2,11 @@ import io
 import json
 import sys
 
+import pytest
+
 import tristream
 from tristream.cli import main
+from tristream.stream_core import StreamConfig, StreamError, materialize, read_stream
 
 
 def run_cli(argv, capsys):
@@ -141,3 +144,19 @@ def test_reads_stream_from_stdin(capsys, monkeypatch):
     assert code == 0
     payload = json.loads(out)
     assert payload["t3"] == 1 and payload["alpha"] == 1.0
+
+
+@pytest.mark.parametrize("text, kind", [
+    ("+ 1 2\n+ 2 3\n+ 1 3\n", "OverCapacityError"),  # third live edge, m_max 2
+    ("+ 1 2\n+ 2 3\n- 2 3\n+ 1 2\n", "DuplicateInsertError"),
+], ids=["over-capacity", "duplicate-insert"])
+def test_estimate_rejects_contract_violations_like_materialize(tmp_path, capsys, text, kind):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(StreamError) as want, open(path) as f:
+        materialize(read_stream(f), StreamConfig(n=5, m_max=2))
+    code, out = run_cli(["estimate", str(path), "--n", "5", "--m-max", "2"], capsys)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error == {"type": kind, "message": str(want.value)}
+    assert type(want.value).__name__ == kind

@@ -1,10 +1,16 @@
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import contract_outcome, random_graph_edges, small_streams
 from tristream.estimator import (
     InvalidRangeError,
     NoQualifiedCopiesError,
+    _CopyGraph,
     derive_config,
     estimate_triangles,
 )
@@ -13,8 +19,19 @@ from tristream.generators import (
     complete_edges,
     edges_to_events,
     gnp_edges,
+    mixed_update_stream,
+    with_churn,
 )
-from tristream.stream_core import events_to_arrays
+from tristream.indep_paths import csr_from_adj, enumerate_two_paths, greedy_independent_count
+from tristream.sparsifier import ColoringFunction, SparsifiedGraph
+from tristream.stream_core import (
+    EdgeEvent,
+    OutOfUniverseError,
+    OverCapacityError,
+    StreamConfig,
+    events_to_arrays,
+    materialize,
+)
 
 
 def test_derive_config_frozen_examples():
@@ -146,3 +163,107 @@ def test_accepts_prebuilt_event_arrays():
     a = estimate_triangles(events, cfg)
     b = estimate_triangles(events_to_arrays(events), cfg)
     assert a.to_dict() == b.to_dict()
+
+
+def test_accepts_a_generator():
+    events = edges_to_events(gnp_edges(25, 0.3, seed=2))
+    cfg = derive_config(n=25, m_max=len(events), k_override=9, colors_override=2, s_override=2,
+                        seed=6)
+    assert estimate_triangles((e for e in events), cfg).to_dict() == \
+        estimate_triangles(events, cfg).to_dict()
+
+
+def test_enforces_capacity():
+    events = edges_to_events(complete_edges(10))
+    cfg = derive_config(n=10, m_max=5, k_override=3)
+    with pytest.raises(OverCapacityError, match="^event 5: "):
+        estimate_triangles(events, cfg)
+
+
+def test_negative_endpoint_is_out_of_universe():
+    cfg = derive_config(n=5, m_max=4, k_override=2)
+    events = [EdgeEvent(1, 2, 1), EdgeEvent(-1, 2, 1)]
+    arrays = (np.array([1, -1]), np.array([2, 2]), np.array([1, 1]))
+    for stream in (events, arrays):
+        with pytest.raises(OutOfUniverseError, match=r"^event 1: endpoint outside \[1, 5\]: \(-1, 2\)$"):
+            estimate_triangles(stream, cfg)
+
+
+def _estimate_or_diagnostics(events, cfg):
+    """The report as a dict, or the diagnostics when no copy qualified."""
+    try:
+        return estimate_triangles(events, cfg).to_dict()
+    except NoQualifiedCopiesError as err:
+        return err.diagnostics
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_streams(), st.integers(1, 3))
+def test_contract_matches_materialize(case, colors):
+    n, m_max, events = case
+    cfg = derive_config(n=n, m_max=m_max, k_override=2, s_override=1, colors_override=colors)
+    want = contract_outcome(lambda: materialize(events, StreamConfig(n=n, m_max=m_max)))
+    assert contract_outcome(lambda: _estimate_or_diagnostics(events, cfg)) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from((2, 3)))
+def test_report_depends_only_on_the_final_graph(seed, colors):
+    rng = random.Random(seed)
+    edges, n_base = random_graph_edges(rng, n_max=24)
+    decoys = rng.randint(0, 40)
+    churned, n = with_churn(edges, decoys, seed=seed, n_base=n_base)
+    final = edges_to_events(edges)
+    rng.shuffle(final)
+    cfg = derive_config(n=n, m_max=max(1, len(edges) + decoys), k_override=12,
+                        s_override=rng.randint(1, 4), colors_override=colors, seed=seed)
+    assert _estimate_or_diagnostics(churned, cfg) == _estimate_or_diagnostics(final, cfg)
+
+
+def test_copies_match_replay_through_sparsified_graph():
+    # reference: every event replayed through the incremental structure, then
+    # greedy certification on its adjacency
+    outcomes = Counter()
+    for seed in range(16):
+        rng = random.Random(seed)
+        n = rng.randint(8, 40)
+        if seed % 2:
+            events = mixed_update_stream(n, rng.randint(100, 800), seed=seed)
+        else:
+            events, n = with_churn(gnp_edges(n, rng.uniform(0.1, 0.5), seed=seed),
+                                   rng.randint(1, 60), seed=seed, n_base=n)
+        colors, s = 2 + seed % 3, rng.randint(1, 8)
+        cfg = derive_config(n=n, m_max=len(events), k_override=10, s_override=s,
+                            colors_override=colors, seed=seed)
+        try:
+            diagnostics = estimate_triangles(events, cfg).diagnostics
+        except NoQualifiedCopiesError as err:
+            diagnostics = err.diagnostics
+        arrays = events_to_arrays(events)
+        for d in diagnostics:
+            gs = SparsifiedGraph(n, ColoringFunction(d.seed, colors))
+            gs.apply_events(*arrays)
+            qualified = greedy_independent_count(*csr_from_adj(gs.adj), s) >= s
+            assert (d.m_prime, d.p2_total, d.qualified) == (gs.m_prime, gs.p2_total, qualified)
+            outcomes[qualified] += 1
+    assert outcomes[True] >= 20 and outcomes[False] >= 20
+
+
+def test_copy_graph_samples_two_paths_uniformly():
+    # vertex numbers 0..5, pairs sorted with a < b; P2 = 3 + 3 + 3 + 1 + 1 = 11
+    pairs = [(0, 1), (0, 2), (0, 5), (1, 2), (1, 3), (2, 4), (3, 4)]
+    g = _CopyGraph(np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]), 6)
+    adj = {x: set() for x in range(6)}
+    for a, b in pairs:
+        adj[a].add(b)
+        adj[b].add(a)
+    assert g.m_prime == 7 and g.p2_total == 11
+    assert all(g.has_edge(a, b) == (b in adj[a]) for a in range(6) for b in range(6))
+    paths = enumerate_two_paths(adj)
+    rng = random.Random(8)
+    draws = 22_000
+    seen = Counter(g.sample_two_path(rng) for _ in range(draws))
+    assert set(seen) == set(paths)
+    expected = draws / len(paths)
+    chi2 = sum((seen[p] - expected) ** 2 / expected for p in paths)
+    assert chi2 < 29.59  # 0.999 quantile of chi-square with 10 degrees of freedom

@@ -152,6 +152,22 @@ def test_concentration_at_coarse_accuracy():
     assert hits >= 45
 
 
+def test_concentration_on_a_zipf_degree_vector():
+    # 5,000 items into 2,400 columns collide in every row, so this exercises
+    # the variance bound: each readout lands within epsilon/6 of F2 with
+    # probability at least 1 - delta/2 = 0.95
+    epsilon, delta = 0.3, 0.1
+    degrees = np.ceil(2000 / np.arange(1, 5001) ** 0.6).astype(np.int64)
+    f2 = float((degrees**2).sum())
+    items = np.arange(1, 5001)
+    hits = 0
+    for seed in range(30):
+        sk = F2Sketch.from_accuracy(5000, epsilon, delta, seed=seed)
+        sk.update_many(items, degrees)
+        hits += abs(sk.estimate() - f2) <= epsilon / 6 * f2
+    assert hits >= 27
+
+
 def test_counters_property_is_a_copy():
     sk = F2Sketch(10, rows=2, cols=3, seed=1)
     view = sk.counters

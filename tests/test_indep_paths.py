@@ -14,6 +14,7 @@ from tristream.indep_paths import (
     BudgetExceededError,
     HasIsolatedEdgesError,
     NotConnectedError,
+    csr_from_adj,
     enumerate_two_paths,
     greedy_independent_count,
     max_independent_two_paths,
@@ -29,11 +30,15 @@ def test_enumerate_counts_match_degree_formula():
     assert len(enumerate_two_paths(adj)) == 15
 
 
+def _greedy(edges, target=None):
+    return greedy_independent_count(*csr_from_adj(adj_dict(edges)), target)
+
+
 def test_greedy_frozen_examples():
-    assert greedy_independent_count(adj_dict(complete_edges(3)), 5) == 1
-    assert greedy_independent_count(adj_dict(path_edges(5)), 5) == 2
-    assert greedy_independent_count(adj_dict(star_edges(7)), 2) == 2  # K_{1,6}, early exit
-    assert greedy_independent_count(adj_dict(star_edges(7))) == 3  # (2,3) (4,5) (6,7)
+    assert _greedy(complete_edges(3), 5) == 1
+    assert _greedy(path_edges(5), 5) == 2
+    assert _greedy(star_edges(7), 2) == 2  # K_{1,6}, early exit
+    assert _greedy(star_edges(7)) == 3  # (2,3) (4,5) (6,7)
 
 
 def test_exact_small_cases():
@@ -61,7 +66,7 @@ def test_greedy_never_beats_exact():
         adj = adj_dict(edges)
         if len(enumerate_two_paths(adj)) > 24:
             continue
-        assert greedy_independent_count(adj) <= max_independent_two_paths(adj)
+        assert _greedy(edges) <= max_independent_two_paths(adj)
         checked += 1
 
 

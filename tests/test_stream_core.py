@@ -2,9 +2,10 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import contract_outcome, small_streams
 from tristream.stream_core import (
     AdjacencyGraph,
     DeleteAbsentError,
@@ -18,6 +19,7 @@ from tristream.stream_core import (
     events_to_arrays,
     format_event,
     materialize,
+    net_events,
     normalize_event,
     read_stream,
     write_stream,
@@ -60,6 +62,8 @@ def test_materialize_turnstile_rules():
         materialize([EdgeEvent(3, 2, 1)], cfg)  # not normalized
     with pytest.raises(OverCapacityError):
         materialize([EdgeEvent(1, 2, 1), EdgeEvent(1, 3, 1)], StreamConfig(n=5, m_max=1))
+    with pytest.raises(StreamFormatError, match="event 0: sign"):
+        materialize([EdgeEvent(1, 2, 0)], cfg)
 
 
 def test_adjacency_graph_degree_cleanup():
@@ -121,3 +125,59 @@ def test_events_to_arrays_shapes_and_passthrough():
 
     empty = events_to_arrays([])
     assert all(a.size == 0 for a in empty)
+
+
+def test_events_to_arrays_accepts_a_generator():
+    events = [EdgeEvent(u, u + 1 + u % 3, 1 - 2 * (u % 2)) for u in range(1, 2_000, 2)]
+    want = events_to_arrays(events)
+    got = events_to_arrays(e for e in events)
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
+    assert events_to_arrays(iter(()))[0].size == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_streams())
+def test_net_events_agrees_with_materialize(case):
+    n, m_max, events = case
+    cfg = StreamConfig(n=n, m_max=m_max)
+    graphs = []
+    want = contract_outcome(lambda: graphs.append(materialize(events, cfg)))
+    nets = []
+    got = contract_outcome(lambda: nets.append(net_events(*events_to_arrays(events), cfg)))
+    assert got == want
+    if want is None:
+        us, vs = nets[0]
+        live = list(zip(us.tolist(), vs.tolist()))
+        assert live == sorted(graphs[0].edges())
+
+
+def test_net_events_reports_the_first_violation_of_any_kind():
+    cfg = StreamConfig(n=6, m_max=2)
+    cases = [
+        # a duplicate insert at 3 comes before the loop at 4
+        ([(1, 2, 1), (2, 3, 1), (1, 2, -1), (2, 3, 1), (4, 4, 1)], DuplicateInsertError, 3),
+        # over capacity at 2 comes before the absent delete at 3
+        ([(1, 2, 1), (2, 3, 1), (3, 4, 1), (5, 6, -1)], OverCapacityError, 2),
+        # an absent delete at 1 comes before the universe error at 2
+        ([(1, 2, 1), (1, 3, -1), (1, 7, 1)], DeleteAbsentError, 1),
+        ([(1, 2, 1), (3, 2, 1)], StreamFormatError, 1),
+        ([(0, 2, 1)], OutOfUniverseError, 0),
+        ([(1, 2, 1), (-1, 2, 1)], OutOfUniverseError, 1),
+        ([(2, -1, 1)], StreamFormatError, 0),
+        ([(-1, -1, 1)], LoopEdgeError, 0),
+        ([(2, 3, 1), (1, 2, 2)], StreamFormatError, 1),
+        ([(3, 3, -1)], LoopEdgeError, 0),
+    ]
+    for raw, kind, index in cases:
+        arrays = events_to_arrays([EdgeEvent(*t) for t in raw])
+        with pytest.raises(kind, match=f"^event {index}: "):
+            net_events(*arrays, cfg)
+
+
+def test_net_events_nets_churn_to_the_final_edges():
+    cfg = StreamConfig(n=9, m_max=3)
+    raw = [(1, 2, 1), (4, 5, 1), (1, 2, -1), (2, 9, 1), (1, 2, 1), (4, 5, -1)]
+    us, vs = net_events(*events_to_arrays([EdgeEvent(*t) for t in raw]), cfg)
+    assert us.dtype == np.uint64 and list(zip(us.tolist(), vs.tolist())) == [(1, 2), (2, 9)]
+    us, vs = net_events(*events_to_arrays([]), cfg)
+    assert us.size == 0 and vs.size == 0
