@@ -11,15 +11,20 @@ indicator: whether a uniformly sampled 2-path of its graph closes into a
 triangle.  The mean indicator estimates the transitivity alpha, and
 T3 = alpha * P2 / 3.  Memory is O(events) for the event arrays and the
 netting pass, plus O(live edges) for one copy at a time.
+
+A copy's coloring is a function of its own seed, ``mix2(seed, copy)``.  The
+sampled 2-paths all come from one numpy Generator seeded from the
+estimate's seed and drawn in copy order, in a single batch when there is
+one color, so a copy's indicator depends on the estimate's seed and the
+copy order rather than on its own seed alone.
 """
 
 import math
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hashing import mix2
+from .hashing import mix2, mix2_array
 from .indep_paths import greedy_independent_count
 from .sparsifier import ColoringFunction
 from .stream_core import StreamConfig, events_to_arrays, net_events
@@ -156,8 +161,9 @@ class _CopyGraph:
     """One copy's kept edges as CSR adjacency over the live vertices.
 
     Vertices are numbered 0..V-1 in id order, so row ``v`` lists its
-    neighbors ``indices[indptr[v]:indptr[v+1]]`` in ascending id order, and
-    ``cum`` holds the running sum of C(d,2) over the rows.
+    neighbors ``indices[indptr[v]:indptr[v+1]]`` in ascending id order,
+    ``cum`` holds the running sum of C(d,2) over the rows, and ``keys``
+    holds each edge (a, b), a < b, as ``a*V + b`` in ascending order.
     """
 
     def __init__(self, a: np.ndarray, b: np.ndarray, num_vertices: int):
@@ -170,29 +176,37 @@ class _CopyGraph:
         self.indptr = np.zeros(num_vertices + 1, dtype=np.int64)
         np.cumsum(degrees, out=self.indptr[1:])
         self.cum = np.cumsum(degrees * (degrees - 1) // 2)
+        self.keys = a * num_vertices + b  # sorted, as the pairs are
+        self.num_vertices = num_vertices
         self.m_prime = a.size
         self.p2_total = int(self.cum[-1]) if num_vertices else 0
 
-    def sample_two_path(self, rng: random.Random) -> tuple[int, int, int]:
-        """A uniform 2-path (u, center, w), u < w, in vertex numbers; needs p2_total > 0.
+    def sample_two_paths(
+        self, rng: "np.random.Generator", count: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``count`` independent uniform 2-paths as arrays (u, center, w), u < w.
 
-        The center comes with probability C(d,2)/P2 by inverse CDF over
-        ``cum``, then two distinct neighbors uniformly, so every 2-path has
-        probability exactly 1/P2.
+        Each center comes with probability C(d,2)/P2 by inverse CDF over
+        ``cum``, then two distinct neighbor positions uniformly.  numpy's
+        bounded integers are exactly uniform, so every 2-path has probability
+        exactly 1/P2.  Needs p2_total > 0.
         """
-        indptr = self.indptr
-        c = int(self.cum.searchsorted(rng.randrange(self.p2_total), side="right"))
-        lo, d = int(indptr[c]), int(indptr[c + 1] - indptr[c])
-        i = rng.randrange(d)
-        j = rng.randrange(d - 1)
-        u, w = int(self.indices[lo + i]), int(self.indices[lo + j + (j >= i)])
-        return (u, c, w) if u < w else (w, c, u)
+        c = self.cum.searchsorted(rng.integers(0, self.p2_total, size=count), side="right")
+        lo = self.indptr[c]
+        d = self.indptr[c + 1] - lo
+        i = rng.integers(0, d)
+        j = rng.integers(0, d - 1)
+        j += j >= i
+        x, y = self.indices[lo + i], self.indices[lo + j]
+        return np.minimum(x, y), c, np.maximum(x, y)
 
-    def has_edge(self, u: int, w: int) -> bool:
-        """Binary search for ``w`` in the sorted row of ``u``."""
-        row = self.indices[self.indptr[u]:self.indptr[u + 1]]
-        k = int(row.searchsorted(w))
-        return k < row.size and row[k] == w
+    def has_edges(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Whether each pair (u, w), u < w, is an edge: one search in ``keys``."""
+        q = u * self.num_vertices + w
+        pos = self.keys.searchsorted(q)
+        found = pos < self.keys.size
+        found[found] = self.keys[pos[found]] == q[found]
+        return found
 
 
 def estimate_triangles(events, cfg: EstimatorConfig) -> Report:
@@ -221,28 +235,39 @@ def estimate_triangles(events, cfg: EstimatorConfig) -> Report:
     del us, vs
     shared = _CopyGraph(lu, lv, vertices.size) if cfg.colors == 1 else None
 
-    diagnostics: list[CopyDiagnostic] = []
-    x_sum = 0
-    ell = 0
-    for i in range(cfg.k):
-        seed_i = mix2(cfg.seed, i)
-        if shared is not None:
-            g = shared
-            qualified = g.p2_total > 0
-        else:
+    seeds = mix2_array(cfg.seed, np.arange(cfg.k, dtype=np.uint64)).tolist()
+    rng = np.random.default_rng(mix2(cfg.seed, _SAMPLE_TAG))
+    if shared is not None:
+        g = shared
+        qualified = g.p2_total > 0
+        indicators = [None] * cfg.k
+        if qualified:
+            u, _, w = g.sample_two_paths(rng, cfg.k)
+            indicators = g.has_edges(u, w).astype(np.int64).tolist()
+        diagnostics = [
+            CopyDiagnostic(i, seed_i, g.m_prime, g.p2_total, qualified, x)
+            for i, (seed_i, x) in enumerate(zip(seeds, indicators))
+        ]
+        ell = cfg.k if qualified else 0
+        x_sum = sum(indicators) if qualified else 0
+    else:
+        diagnostics = []
+        x_sum = 0
+        ell = 0
+        for i, seed_i in enumerate(seeds):
             colors = ColoringFunction(seed_i, cfg.colors).colors_of(vertices)
             keep = colors[lu] == colors[lv]
             g = _CopyGraph(lu[keep], lv[keep], vertices.size)
             qualified = greedy_independent_count(g.indptr, g.indices, cfg.s) >= cfg.s
-        indicator = None
-        if qualified:
-            u, _, w = g.sample_two_path(random.Random(mix2(seed_i, _SAMPLE_TAG)))
-            indicator = 1 if g.has_edge(u, w) else 0
-            x_sum += indicator
-            ell += 1
-        diagnostics.append(
-            CopyDiagnostic(i, seed_i, g.m_prime, g.p2_total, qualified, indicator)
-        )
+            indicator = None
+            if qualified:
+                u, _, w = g.sample_two_paths(rng, 1)
+                indicator = int(g.has_edges(u, w)[0])
+                x_sum += indicator
+                ell += 1
+            diagnostics.append(
+                CopyDiagnostic(i, seed_i, g.m_prime, g.p2_total, qualified, indicator)
+            )
 
     if ell == 0:
         raise NoQualifiedCopiesError(

@@ -273,12 +273,13 @@ def events_to_arrays(events) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical array form (u, v, sign) used by the batched ingest paths.
 
     Accepts any iterable of EdgeEvent, generators included, or an
-    already-built array triple, which passes through.  Endpoints are read
-    as 64-bit signed integers and stored as their uint64 bit pattern, so a
-    negative endpoint wraps the same way as in a prebuilt int64 array;
-    ``net_events`` reads them back signed.
+    already-built array triple, which passes through.  A tuple of three
+    EdgeEvents is three events, not a triple.  Endpoints are read as 64-bit
+    signed integers and stored as their uint64 bit pattern, so a negative
+    endpoint wraps the same way as in a prebuilt int64 array; ``net_events``
+    reads them back signed.
     """
-    if isinstance(events, tuple) and len(events) == 3:
+    if isinstance(events, tuple) and len(events) == 3 and not isinstance(events[0], EdgeEvent):
         u, v, s = events
         return (
             np.ascontiguousarray(u, dtype=np.uint64),

@@ -1,11 +1,17 @@
+import math
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tristream
 from conftest import contract_outcome, random_graph_edges, small_streams
 from tristream.estimator import (
     InvalidRangeError,
@@ -22,6 +28,7 @@ from tristream.generators import (
     mixed_update_stream,
     with_churn,
 )
+from tristream.hashing import mix2
 from tristream.indep_paths import csr_from_adj, enumerate_two_paths, greedy_independent_count
 from tristream.sparsifier import ColoringFunction, SparsifiedGraph
 from tristream.stream_core import (
@@ -250,20 +257,65 @@ def test_copies_match_replay_through_sparsified_graph():
 
 
 def test_copy_graph_samples_two_paths_uniformly():
-    # vertex numbers 0..5, pairs sorted with a < b; P2 = 3 + 3 + 3 + 1 + 1 = 11
+    # vertex numbers 0..6, pairs sorted with a < b; P2 = 3 + 3 + 3 + 1 + 1 = 11.
+    # Vertex 6, the highest, has an empty row, so a query such as (4, 6) lies
+    # above the last edge key and its search ends past the keys.
     pairs = [(0, 1), (0, 2), (0, 5), (1, 2), (1, 3), (2, 4), (3, 4)]
-    g = _CopyGraph(np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]), 6)
-    adj = {x: set() for x in range(6)}
+    g = _CopyGraph(np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]), 7)
+    adj = {x: set() for x in range(7)}
     for a, b in pairs:
         adj[a].add(b)
         adj[b].add(a)
     assert g.m_prime == 7 and g.p2_total == 11
-    assert all(g.has_edge(a, b) == (b in adj[a]) for a in range(6) for b in range(6))
+    qa, qb = np.array([(a, b) for a in range(7) for b in range(a + 1, 7)]).T
+    assert g.keys.searchsorted(qa * 7 + qb).max() == g.keys.size
+    assert g.has_edges(qa, qb).tolist() == [b in adj[a] for a, b in zip(qa, qb)]
     paths = enumerate_two_paths(adj)
-    rng = random.Random(8)
     draws = 22_000
-    seen = Counter(g.sample_two_path(rng) for _ in range(draws))
+    u, c, w = g.sample_two_paths(np.random.default_rng(8), draws)
+    assert u.shape == c.shape == w.shape == (draws,)
+    seen = Counter(zip(u.tolist(), c.tolist(), w.tolist()))
     assert set(seen) == set(paths)
     expected = draws / len(paths)
     chi2 = sum((seen[p] - expected) ** 2 / expected for p in paths)
     assert chi2 < 29.59  # 0.999 quantile of chi-square with 10 degrees of freedom
+
+
+def test_one_color_copies_draw_independently():
+    # K4 minus the edge (3, 4): P2 = 8, closed 2-paths 6, alpha = 0.75.  A
+    # batch that reused one draw for every copy would read 0 or 1.
+    events = edges_to_events([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
+    k = 20_000
+    cfg = derive_config(n=4, m_max=5, k_override=k, seed=12)
+    assert cfg.colors == 1
+    report = estimate_triangles(events, cfg)
+    assert report.ell == k
+    assert abs(report.alpha_hat - 0.75) <= 4 * math.sqrt(0.75 * 0.25 / k)
+
+
+@pytest.mark.parametrize("colors", [1, 3])
+def test_copy_seeds_are_mix2_of_the_copy_index(colors):
+    events = edges_to_events(complete_edges(12))
+    for seed in (0, 5, 2**64 - 3):
+        cfg = derive_config(n=12, m_max=66, k_override=40, s_override=1,
+                            colors_override=colors, seed=seed)
+        diagnostics = estimate_triangles(events, cfg).diagnostics
+        assert [d.copy for d in diagnostics] == list(range(40))
+        assert all(d.seed == mix2(seed, d.copy) for d in diagnostics)
+
+
+def test_a_tuple_of_three_events_is_a_stream():
+    events = [EdgeEvent(1, 2, 1), EdgeEvent(1, 3, 1), EdgeEvent(2, 3, 1)]
+    cfg = derive_config(n=3, m_max=3, k_override=20, seed=1)
+    report = estimate_triangles(tuple(events), cfg)
+    assert report.to_dict() == estimate_triangles(events, cfg).to_dict()
+    assert report.t3_hat == 1.0
+
+
+def test_importing_the_package_leaves_numpy_random_unloaded():
+    # the sampler's Generator is made per estimate; loading numpy.random on
+    # import would add to the start of every CLI call
+    src = str(Path(tristream.__file__).resolve().parent.parent)
+    code = "import sys, tristream; sys.exit('numpy.random' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

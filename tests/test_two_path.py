@@ -20,6 +20,17 @@ def test_streamed_equals_batched():
     assert a.m_net == b.m_net == 13
 
 
+def test_a_tuple_of_three_events_is_a_stream():
+    events = [EdgeEvent(1, 2, 1), EdgeEvent(1, 3, 1), EdgeEvent(2, 3, 1)]
+    a = TwoPathEstimator(3, epsilon=1.0, delta=0.5, seed=5)
+    a.update_many(tuple(events))
+    b = TwoPathEstimator(3, epsilon=1.0, delta=0.5, seed=5)
+    b.update_many(events)
+    assert np.array_equal(a.sketch.counters, b.sketch.counters)
+    assert a.m_net == b.m_net == 3
+    assert a.estimate() == b.estimate() == 3.0
+
+
 def test_deletions_cancel_exactly():
     # churn stream ending in K5 must leave counters bit-equal to plain K5
     events, n = with_churn(complete_edges(6), 30, seed=8)
