@@ -12,15 +12,18 @@ triangle.  The mean indicator estimates the transitivity alpha, and
 T3 = alpha * P2 / 3.  Memory is O(events) for the event arrays and the
 netting pass, plus O(live edges) for one copy at a time.
 
-A copy's coloring is a function of its own seed, ``mix2(seed, copy)``.  The
-sampled 2-paths all come from one numpy Generator seeded from the
-estimate's seed and drawn in copy order, in a single batch when there is
-one color, so a copy's indicator depends on the estimate's seed and the
-copy order rather than on its own seed alone.
+Copies come in groups that share one graph and one verdict: with one color
+all K copies keep the whole graph and form one group, otherwise each copy
+is a group of its own.  A copy's coloring is a function of its own seed,
+``mix2(seed, copy)``.  The sampled 2-paths all come from one numpy
+Generator seeded from the estimate's seed and drawn group by group in copy
+order, so a copy's indicator depends on the estimate's seed and the copy
+order rather than on its own seed alone.
 """
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -109,8 +112,7 @@ def derive_config(
     )
 
 
-@dataclass(frozen=True)
-class CopyDiagnostic:
+class CopyDiagnostic(NamedTuple):
     copy: int
     seed: int
     m_prime: int
@@ -209,16 +211,30 @@ class _CopyGraph:
         return found
 
 
+def _copy_groups(cfg, seeds, vertices, lu, lv) -> Iterator[tuple[_CopyGraph, bool, int]]:
+    """(graph, qualified, count) per group of copies sharing one graph, in copy order.
+
+    A one-color group has no certification threshold: sampling is exactly
+    uniform on the input graph, so any 2-path qualifies it.
+    """
+    if cfg.colors == 1:
+        g = _CopyGraph(lu, lv, vertices.size)
+        yield g, g.p2_total > 0, cfg.k
+        return
+    for seed_i in seeds:
+        colors = ColoringFunction(seed_i, cfg.colors).colors_of(vertices)
+        keep = colors[lu] == colors[lv]
+        g = _CopyGraph(lu[keep], lv[keep], vertices.size)
+        yield g, greedy_independent_count(g.indptr, g.indices, cfg.s) >= cfg.s, 1
+
+
 def estimate_triangles(events, cfg: EstimatorConfig) -> Report:
     """Run the full estimator over a turnstile stream (deletions included).
 
     The stream must keep the contract of ``stream_core.materialize`` with
     capacity ``cfg.m_max``; a violation raises the same ``StreamError`` with
     the index of the first offending event, before any sketch work.  Copies
-    are built one at a time from the netted edges.  With a single color
-    every copy retains the whole graph, so one shared CSR serves all of them
-    and every copy with any 2-path qualifies (sampling is then exactly
-    uniform on the input graph, no certification threshold applies).
+    are built one group at a time from the netted edges (``_copy_groups``).
     """
     us, vs, signs = events_to_arrays(events)
     us, vs = net_events(us, vs, signs, StreamConfig(n=cfg.n, m_max=cfg.m_max))
@@ -233,41 +249,23 @@ def estimate_triangles(events, cfg: EstimatorConfig) -> Report:
     vertices, ends = np.unique(np.concatenate([us, vs]), return_inverse=True)
     lu, lv = ends[:us.size], ends[us.size:]
     del us, vs
-    shared = _CopyGraph(lu, lv, vertices.size) if cfg.colors == 1 else None
 
     seeds = mix2_array(cfg.seed, np.arange(cfg.k, dtype=np.uint64)).tolist()
     rng = np.random.default_rng(mix2(cfg.seed, _SAMPLE_TAG))
-    if shared is not None:
-        g = shared
-        qualified = g.p2_total > 0
-        indicators = [None] * cfg.k
-        if qualified:
-            u, _, w = g.sample_two_paths(rng, cfg.k)
-            indicators = g.has_edges(u, w).astype(np.int64).tolist()
-        diagnostics = [
-            CopyDiagnostic(i, seed_i, g.m_prime, g.p2_total, qualified, x)
-            for i, (seed_i, x) in enumerate(zip(seeds, indicators))
-        ]
-        ell = cfg.k if qualified else 0
-        x_sum = sum(indicators) if qualified else 0
-    else:
-        diagnostics = []
-        x_sum = 0
-        ell = 0
-        for i, seed_i in enumerate(seeds):
-            colors = ColoringFunction(seed_i, cfg.colors).colors_of(vertices)
-            keep = colors[lu] == colors[lv]
-            g = _CopyGraph(lu[keep], lv[keep], vertices.size)
-            qualified = greedy_independent_count(g.indptr, g.indices, cfg.s) >= cfg.s
-            indicator = None
-            if qualified:
-                u, _, w = g.sample_two_paths(rng, 1)
-                indicator = int(g.has_edges(u, w)[0])
-                x_sum += indicator
-                ell += 1
-            diagnostics.append(
-                CopyDiagnostic(i, seed_i, g.m_prime, g.p2_total, qualified, indicator)
-            )
+    m_prime, p2_total, qualified, indicator = [], [], [], []
+    for g, ok, count in _copy_groups(cfg, seeds, vertices, lu, lv):
+        m_prime += [g.m_prime] * count
+        p2_total += [g.p2_total] * count
+        qualified += [ok] * count
+        if ok:
+            u, _, w = g.sample_two_paths(rng, count)
+            indicator += g.has_edges(u, w).astype(np.int64).tolist()
+        else:
+            indicator += [None] * count
+    columns = (range(cfg.k), seeds, m_prime, p2_total, qualified, indicator)
+    diagnostics = list(map(CopyDiagnostic, *columns))
+    ell = sum(qualified)
+    x_sum = sum(filter(None, indicator))
 
     if ell == 0:
         raise NoQualifiedCopiesError(

@@ -97,9 +97,6 @@ class AdjacencyGraph:
         nbrs = self.adj.get(v)
         return 0 if nbrs is None else len(nbrs)
 
-    def vertices(self):
-        return self.adj.keys()
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u, nbrs in self.adj.items():
             for v in nbrs:
@@ -134,6 +131,19 @@ def apply_event(graph: AdjacencyGraph, e: EdgeEvent) -> AdjacencyGraph:
     return graph
 
 
+def _malformed(u: int, v: int, sign: int, n: int) -> StreamError | None:
+    """The first loop, normalization, sign or universe error of one event, if any."""
+    if u == v:
+        return LoopEdgeError(f"self-loop at vertex {u}")
+    if u > v:
+        return StreamFormatError(f"event not normalized: ({u}, {v})")
+    if sign not in (1, -1):
+        return StreamFormatError(f"sign must be +1 or -1, got {sign}")
+    if u < 1 or v > n:
+        return OutOfUniverseError(f"endpoint outside [1, {n}]: ({u}, {v})")
+    return None
+
+
 def materialize(events: Iterable[EdgeEvent], cfg: StreamConfig) -> AdjacencyGraph:
     """Fold a whole stream into an adjacency graph, enforcing the contract.
 
@@ -142,14 +152,9 @@ def materialize(events: Iterable[EdgeEvent], cfg: StreamConfig) -> AdjacencyGrap
     g = AdjacencyGraph()
     for i, e in enumerate(events):
         try:
-            if e.u == e.v:
-                raise LoopEdgeError(f"self-loop at vertex {e.u}")
-            if e.u > e.v:
-                raise StreamFormatError(f"event not normalized: ({e.u}, {e.v})")
-            if e.sign not in (1, -1):
-                raise StreamFormatError(f"sign must be +1 or -1, got {e.sign}")
-            if e.u < 1 or e.v > cfg.n:
-                raise OutOfUniverseError(f"endpoint outside [1, {cfg.n}]: ({e.u}, {e.v})")
+            err = _malformed(e.u, e.v, e.sign, cfg.n)
+            if err is not None:
+                raise err
             apply_event(g, e)
             if g.m > cfg.m_max:
                 raise OverCapacityError(f"live edges exceed m_max={cfg.m_max}")
@@ -205,20 +210,14 @@ def net_events(
     if i < size:
         u, v, sign = int(su[i]), int(sv[i]), int(signs[i])
         if i == first_repeat and sign == 1:
-            kind, message = DuplicateInsertError, f"edge ({u}, {v}) already live"
+            err = DuplicateInsertError(f"edge ({u}, {v}) already live")
         elif i == first_repeat:
-            kind, message = DeleteAbsentError, f"edge ({u}, {v}) not live"
+            err = DeleteAbsentError(f"edge ({u}, {v}) not live")
         elif i == first_over:
-            kind, message = OverCapacityError, f"live edges exceed m_max={cfg.m_max}"
-        elif u == v:
-            kind, message = LoopEdgeError, f"self-loop at vertex {u}"
-        elif u > v:
-            kind, message = StreamFormatError, f"event not normalized: ({u}, {v})"
-        elif sign not in (1, -1):
-            kind, message = StreamFormatError, f"sign must be +1 or -1, got {sign}"
-        else:
-            kind, message = OutOfUniverseError, f"endpoint outside [1, {n}]: ({u}, {v})"
-        raise kind(f"event {i}: {message}")
+            err = OverCapacityError(f"live edges exceed m_max={cfg.m_max}")
+        else:  # event k, the first malformed one
+            err = _malformed(u, v, sign, n)
+        raise type(err)(f"event {i}: {err}")
 
     # an edge is live at the end iff the last event of its key inserts it
     last = np.flatnonzero(np.append(~same, True) & (s == 1))
@@ -269,23 +268,24 @@ def write_stream(events: Iterable[EdgeEvent], f: IO[str]) -> None:
         f.write(format_event(e) + "\n")
 
 
+def _endpoints(x) -> np.ndarray:
+    x = np.ascontiguousarray(x)
+    return x if x.dtype == np.uint64 else x.astype(np.int64, copy=False).view(np.uint64)
+
+
 def events_to_arrays(events) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical array form (u, v, sign) used by the batched ingest paths.
 
     Accepts any iterable of EdgeEvent, generators included, or an
-    already-built array triple, which passes through.  A tuple of three
-    EdgeEvents is three events, not a triple.  Endpoints are read as 64-bit
-    signed integers and stored as their uint64 bit pattern, so a negative
-    endpoint wraps the same way as in a prebuilt int64 array; ``net_events``
-    reads them back signed.
+    already-built array triple, whose uint64 endpoint arrays pass through.  A
+    tuple of three EdgeEvents is three events, not a triple.  Any other
+    endpoints are read as 64-bit signed integers and stored as their uint64
+    bit pattern, so a negative endpoint wraps the same way in every input;
+    ``net_events`` reads them back signed.
     """
     if isinstance(events, tuple) and len(events) == 3 and not isinstance(events[0], EdgeEvent):
         u, v, s = events
-        return (
-            np.ascontiguousarray(u, dtype=np.uint64),
-            np.ascontiguousarray(v, dtype=np.uint64),
-            np.ascontiguousarray(s, dtype=np.int64),
-        )
+        return _endpoints(u), _endpoints(v), np.ascontiguousarray(s, dtype=np.int64)
     if not hasattr(events, "__len__"):
         events = list(events)
     us = np.fromiter((e.u for e in events), dtype=np.int64, count=len(events)).view(np.uint64)

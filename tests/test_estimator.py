@@ -132,6 +132,19 @@ def test_no_qualified_copies():
     assert not any(d.qualified for d in diags)
 
 
+def test_one_color_without_two_paths_has_no_qualified_copy():
+    events = edges_to_events([(1, 2), (3, 4)])
+    cfg = derive_config(n=4, m_max=2, k_override=6, seed=9)
+    assert cfg.colors == 1
+    with pytest.raises(NoQualifiedCopiesError) as err:
+        estimate_triangles(events, cfg)
+    diags = err.value.diagnostics
+    assert [d.copy for d in diags] == list(range(6))
+    for i, d in enumerate(diags):
+        assert d.seed == mix2(9, i)
+        assert (d.m_prime, d.p2_total, d.qualified, d.indicator) == (2, 0, False, None)
+
+
 def test_low_confidence_warning_when_few_copies_qualify():
     # a lone triangle under two colors survives intact only when all three
     # vertices collide, so roughly a quarter of the copies qualify
@@ -191,7 +204,8 @@ def test_negative_endpoint_is_out_of_universe():
     cfg = derive_config(n=5, m_max=4, k_override=2)
     events = [EdgeEvent(1, 2, 1), EdgeEvent(-1, 2, 1)]
     arrays = (np.array([1, -1]), np.array([2, 2]), np.array([1, 1]))
-    for stream in (events, arrays):
+    lists = ([1, -1], [2, 2], [1, 1])
+    for stream in (events, arrays, lists):
         with pytest.raises(OutOfUniverseError, match=r"^event 1: endpoint outside \[1, 5\]: \(-1, 2\)$"):
             estimate_triangles(stream, cfg)
 
