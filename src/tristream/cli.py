@@ -31,6 +31,7 @@ from .indep_paths import HasIsolatedEdgesError, NotConnectedError, verify_lower_
 from .oracles import graph_stats
 from .stream_core import (
     AdjacencyGraph,
+    EdgeEvent,
     StreamConfig,
     StreamError,
     materialize,
@@ -191,11 +192,12 @@ def _cmd_doulion(args):
         raise ValueError(f"--trials must be positive, got {args.trials}")
     events = _load_events(args.stream, args.n)
     n = args.n if args.n is not None else _infer_n(events)
-    _validated_graph(events, n)
+    # the coin is a hash of the edge, so the final live edges keep the same graph
+    live = [EdgeEvent(u, v, 1) for u, v in _validated_graph(events, n).edges()]
     estimates = []
     for t in range(args.trials):
         counter = DoulionCounter(n, args.p, seed=mix2(args.seed, t))
-        counter.update_many(events)
+        counter.update_many(live)
         estimates.append(counter.estimate())
     payload = {
         "config": {"n": n, "p": args.p, "trials": args.trials},

@@ -1,8 +1,11 @@
 """Pairwise independent 2-paths: greedy certification and exact search.
 
-Two 2-paths are independent when they share at most one vertex.  The greedy
-count certifies a lower bound on the maximum; the exact search is reserved
-for tiny instances and backs the tests.  ``verify_lower_bounds`` checks a
+Two 2-paths are independent when they share at most one vertex, that is,
+no vertex pair.  The greedy count and the independence check keep one set
+of covered pairs and accept a path iff none of its three pairs is covered,
+O(d^2) set lookups at worst for a center of degree d.  The greedy count
+certifies a lower bound on the maximum; the exact search is reserved for
+tiny instances and backs the tests.  ``verify_lower_bounds`` checks a
 graph against the structural floors used to size the sampling threshold:
 ceil(|V|/2)-1 for connected graphs, floor(m/9) for connected bipartite
 graphs, floor(m/18) in general.
@@ -29,36 +32,44 @@ class HasIsolatedEdgesError(ValueError):
     pass
 
 
+def _pairs(u: int, v: int, w: int) -> tuple[tuple[int, int], ...]:
+    """The three vertex pairs of 2-path (u, v, w), each as (low, high)."""
+    return (
+        (u, v) if u < v else (v, u),
+        (v, w) if v < w else (w, v),
+        (u, w) if u < w else (w, u),
+    )
+
+
 def greedy_independent_count(indptr, indices, target: int | None = None) -> int:
     """Size of a maximal independent set of 2-paths, built greedily.
 
     The graph comes as CSR adjacency over vertices 0..V-1: row ``v`` is
     ``indices[indptr[v]:indptr[v+1]]``, sorted ascending (``csr_from_adj``
     converts a dict of neighbor sets).  Centers are visited in ascending
-    order and neighbor pairs in lexicographic order; a candidate is kept iff
-    it shares at most one vertex with every path already selected.
-    Conflict checks go through a vertex -> selected-path incidence map.
-    Stops early at ``target``.
+    order and neighbor pairs in lexicographic order; a candidate (u, v, w)
+    is kept iff none of its pairs is covered by a selected path.  Once
+    {u, v} is covered no (u, v, w) can be kept, so ``u`` is skipped or its
+    scan ends: O(d^2) set lookups at worst per center of degree d, O(d) on
+    a star.  Stops early at ``target``.
     """
     indptr, indices = np.asarray(indptr), np.asarray(indices)
-    selected_at: dict[int, list[int]] = {}
+    covered: set[tuple[int, int]] = set()
     count = 0
     for v in np.flatnonzero(np.diff(indptr) >= 2).tolist():
         ordered = indices[indptr[v]:indptr[v + 1]].tolist()
         for i in range(len(ordered) - 1):
             u = ordered[i]
+            if (min(u, v), max(u, v)) in covered:
+                continue
             for j in range(i + 1, len(ordered)):
-                w = ordered[j]
-                ids = list(selected_at.get(u, ()))
-                ids.extend(selected_at.get(v, ()))
-                ids.extend(selected_at.get(w, ()))
-                if len(ids) != len(set(ids)):
-                    continue
-                for x in (u, v, w):
-                    selected_at.setdefault(x, []).append(count)
-                count += 1
-                if target is not None and count >= target:
-                    return count
+                pairs = _pairs(u, v, ordered[j])
+                if covered.isdisjoint(pairs):
+                    covered.update(pairs)
+                    count += 1
+                    if target is not None and count >= target:
+                        return count
+                    break
     return count
 
 
@@ -180,34 +191,20 @@ def spanning_tree_two_paths(adj: dict[int, set[int]]) -> list[TwoPath]:
 
 
 def _assert_independent(paths: list[TwoPath]) -> None:
-    incidence: dict[int, list[int]] = {}
-    for i, (u, v, w) in enumerate(paths):
-        for x in (u, v, w):
-            incidence.setdefault(x, []).append(i)
-    shared: dict[tuple[int, int], int] = {}
-    for ids in incidence.values():
-        for a_pos in range(len(ids)):
-            for b_pos in range(a_pos + 1, len(ids)):
-                key = (ids[a_pos], ids[b_pos])
-                shared[key] = shared.get(key, 0) + 1
-                if shared[key] >= 2:
-                    raise RuntimeError(f"paths {key} share two vertices")
+    """Raise unless each vertex pair belongs to at most one path."""
+    owner: dict[tuple[int, int], int] = {}
+    for i, path in enumerate(paths):
+        for pair in _pairs(*path):
+            j = owner.setdefault(pair, i)
+            if j != i:
+                raise RuntimeError(f"paths {(j, i)} share two vertices")
 
 
-def _bfs_component(adj: dict[int, set[int]], start: int) -> set[int]:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return seen
-
-
-def _bipartition(adj: dict[int, set[int]], start: int) -> bool:
+def _bfs_parity(adj: dict[int, set[int]], start: int) -> tuple[dict[int, int], bool]:
+    """Depth parity of each vertex reached from ``start``, and whether no
+    edge among them joins two vertices of equal parity (bipartite)."""
     side = {start: 0}
+    bipartite = True
     queue = deque([start])
     while queue:
         x = queue.popleft()
@@ -216,8 +213,8 @@ def _bipartition(adj: dict[int, set[int]], start: int) -> bool:
                 side[y] = side[x] ^ 1
                 queue.append(y)
             elif side[y] == side[x]:
-                return False
-    return True
+                bipartite = False
+    return side, bipartite
 
 
 @dataclass(frozen=True)
@@ -243,8 +240,8 @@ def verify_lower_bounds(adj: dict[int, set[int]]) -> LowerBoundReport:
     """
     if not adj:
         raise NotConnectedError("empty graph")
-    first = next(iter(adj))
-    if _bfs_component(adj, first) != set(adj):
+    side, bipartite = _bfs_parity(adj, next(iter(adj)))
+    if len(side) != len(adj):
         raise NotConnectedError("graph is not connected")
     for u, nbrs in adj.items():
         if len(nbrs) == 1:
@@ -260,7 +257,6 @@ def verify_lower_bounds(adj: dict[int, set[int]]) -> LowerBoundReport:
     best = max(greedy, tree_witness)
     bound_conn = (n + 1) // 2 - 1
     bound_gen = m // 18
-    bipartite = _bipartition(adj, first)
     bound_bip = m // 9 if bipartite else None
     return LowerBoundReport(
         n=n,

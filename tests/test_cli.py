@@ -5,8 +5,11 @@ import sys
 import pytest
 
 import tristream
+from tristream.baselines import DoulionCounter
 from tristream.cli import main
-from tristream.stream_core import StreamConfig, StreamError, materialize, read_stream
+from tristream.generators import gnp_edges, with_churn
+from tristream.hashing import mix2
+from tristream.stream_core import StreamConfig, StreamError, materialize, read_stream, write_stream
 
 
 def run_cli(argv, capsys):
@@ -101,6 +104,23 @@ def test_doulion_full_keep_and_validation(tmp_path, capsys):
     code, out = run_cli(["doulion", str(path), "--p", "0"], capsys)
     assert code == 2
     assert json.loads(out)["error"]["type"] == "ValueError"
+
+
+def test_doulion_on_live_edges_equals_replay_of_every_event(tmp_path, capsys):
+    events, n = with_churn(gnp_edges(30, 0.4, seed=3), 80, seed=3, n_base=30)
+    path = tmp_path / "churn.txt"
+    with open(path, "w") as f:
+        write_stream(events, f)
+    trials, seed = 8, 11
+    code, out = run_cli(["doulion", str(path), "--p", "0.6", "--trials", str(trials),
+                         "--n", str(n), "--seed", str(seed)], capsys)
+    assert code == 0
+    estimates = []
+    for t in range(trials):
+        counter = DoulionCounter(n, 0.6, seed=mix2(seed, t))
+        counter.update_many(events)
+        estimates.append(counter.estimate())
+    assert json.loads(out)["estimate"] == sum(estimates) / trials
 
 
 def test_human_format_is_same_object_indented(tmp_path, capsys):

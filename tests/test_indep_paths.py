@@ -1,19 +1,28 @@
 import random
+import time
 
+import numpy as np
 import pytest
 
 from conftest import adj_dict, adjacency, random_graph_edges
+from tristream import estimator
+from tristream.cli import main
+from tristream.estimator import NoQualifiedCopiesError, derive_config, estimate_triangles
 from tristream.generators import (
     complete_bipartite_edges,
     complete_edges,
     cycle_edges,
+    edges_to_events,
+    gnp_edges,
     path_edges,
     star_edges,
+    with_churn,
 )
 from tristream.indep_paths import (
     BudgetExceededError,
     HasIsolatedEdgesError,
     NotConnectedError,
+    _assert_independent,
     csr_from_adj,
     enumerate_two_paths,
     greedy_independent_count,
@@ -21,6 +30,7 @@ from tristream.indep_paths import (
     spanning_tree_two_paths,
     verify_lower_bounds,
 )
+from tristream.stream_core import write_stream
 
 
 def test_enumerate_counts_match_degree_formula():
@@ -39,6 +49,85 @@ def test_greedy_frozen_examples():
     assert _greedy(path_edges(5), 5) == 2
     assert _greedy(star_edges(7), 2) == 2  # K_{1,6}, early exit
     assert _greedy(star_edges(7)) == 3  # (2,3) (4,5) (6,7)
+
+
+def _reference_greedy(indptr, indices, target=None):
+    """Reference greedy on a vertex -> selected-path incidence map: a
+    candidate is kept iff no selected path id turns up at two of its vertices."""
+    indptr, indices = np.asarray(indptr), np.asarray(indices)
+    selected_at: dict[int, list[int]] = {}
+    count = 0
+    for v in np.flatnonzero(np.diff(indptr) >= 2).tolist():
+        ordered = indices[indptr[v]:indptr[v + 1]].tolist()
+        for i in range(len(ordered) - 1):
+            u = ordered[i]
+            for j in range(i + 1, len(ordered)):
+                w = ordered[j]
+                ids = list(selected_at.get(u, ()))
+                ids.extend(selected_at.get(v, ()))
+                ids.extend(selected_at.get(w, ()))
+                if len(ids) != len(set(ids)):
+                    continue
+                for x in (u, v, w):
+                    selected_at.setdefault(x, []).append(count)
+                count += 1
+                if target is not None and count >= target:
+                    return count
+    return count
+
+
+_TARGETS = (None, 1, 3, 7, 20, 200)
+
+
+def test_greedy_matches_incidence_list_reference():
+    rng = random.Random(2024)
+    for _ in range(320):
+        csr = csr_from_adj(adj_dict(random_graph_edges(rng, n_max=40)[0]))
+        for target in _TARGETS:
+            assert greedy_independent_count(*csr, target) == _reference_greedy(*csr, target)
+
+
+def test_greedy_matches_reference_on_estimator_copies(monkeypatch):
+    verdicts = []
+
+    def checked(indptr, indices, target=None):
+        for t in _TARGETS + (target,):
+            assert greedy_independent_count(indptr, indices, t) == _reference_greedy(indptr, indices, t)
+        count = greedy_independent_count(indptr, indices, target)
+        verdicts.append(count >= target)
+        return count
+
+    monkeypatch.setattr(estimator, "greedy_independent_count", checked)
+    for seed in range(6):
+        events, n = with_churn(gnp_edges(40, 0.3, seed=seed), 30, seed=seed, n_base=40)
+        cfg = derive_config(n=n, m_max=len(events), k_override=8, s_override=3 + 4 * seed,
+                            colors_override=2 + seed % 3, seed=seed)
+        try:
+            estimate_triangles(events, cfg)
+        except NoQualifiedCopiesError:
+            pass
+    assert len(verdicts) == 48 and True in verdicts and False in verdicts
+
+
+def test_assert_independent_is_one_path_per_vertex_pair():
+    with pytest.raises(RuntimeError, match=r"paths \(0, 1\) share two vertices"):
+        _assert_independent([(1, 2, 3), (1, 3, 4)])
+    _assert_independent([(1, 2, 3), (3, 4, 5), (1, 6, 5)])  # each pair shares one vertex
+
+
+def test_hub_star_is_fast(tmp_path, capsys):
+    edges = star_edges(2001)  # K_{1,2000}
+    start = time.perf_counter()
+    rep = verify_lower_bounds(adj_dict(edges))
+    elapsed = time.perf_counter() - start
+    assert rep.greedy_count == 1000
+    assert elapsed < 5.0, f"verify_lower_bounds took {elapsed:.2f}s on K_1,2000"
+
+    path = tmp_path / "star.txt"
+    with open(path, "w") as f:
+        write_stream(edges_to_events(edges), f)
+    assert main(["verify-lemmas", str(path)]) == 0
+    capsys.readouterr()
 
 
 def test_exact_small_cases():
