@@ -8,10 +8,13 @@ Exit codes: 0 success, 2 bad input, 3 no sparsifier copy qualified,
 """
 
 import argparse
+import contextlib
 import json
 import random
 import sys
 from dataclasses import asdict
+
+import numpy as np
 
 from . import __version__
 from .baselines import DoulionCounter
@@ -34,53 +37,75 @@ from .stream_core import (
     EdgeEvent,
     StreamConfig,
     StreamError,
-    materialize,
-    read_stream,
+    events_to_arrays,
+    net_chunks,
+    read_chunks,
     write_stream,
 )
 
+# Unused here, but bench/spans.py wraps these names on this module.
+from .stream_core import materialize, read_stream  # noqa: F401
 
-def _load_events(path: str, n: int | None):
+
+def _open_stream(path: str):
+    """The stream file opened as text; ``-`` is standard input, left open."""
     if path == "-":
-        return read_stream(sys.stdin, n)
-    with open(path, encoding="utf-8") as f:
-        return read_stream(f, n)
+        return contextlib.nullcontext(sys.stdin)
+    return open(path, encoding="utf-8")
 
 
-def _infer_n(events) -> int:
-    return max((e.v for e in events), default=2)
+def _final_graph(path: str, n: int | None) -> tuple[AdjacencyGraph, int]:
+    """The graph live at the end of a stream file, and its universe size.
 
-
-def _validated_graph(events, n: int) -> AdjacencyGraph:
-    return materialize(events, StreamConfig(n=n, m_max=max(1, len(events))))
+    The whole file is parsed, and a text error reported, before the
+    contract check, whose universe is ``n`` or else the largest endpoint;
+    the parsed chunks are held until then.  The live edges are inserted in
+    the order of their last event, as a replay of the stream inserts them,
+    so the adjacency sets iterate as the replayed ones do.
+    """
+    with _open_stream(path) as f:
+        chunks = list(read_chunks(f, n))
+    us, vs, signs = (np.concatenate(a) for a in zip(*chunks)) if chunks else events_to_arrays([])
+    if n is None:
+        n = int(vs.max(initial=2))
+    net_chunks(chunks, StreamConfig(n=n, m_max=max(1, us.size)))
+    del chunks
+    # a valid stream's edge is live at the end iff its last event inserts it
+    _, from_end = np.unique((us * np.uint64(n + 1) + vs)[::-1], return_index=True)
+    last = us.size - 1 - from_end
+    last = np.sort(last[signs[last] == 1])
+    graph = AdjacencyGraph()
+    for u, v in zip(us[last].tolist(), vs[last].tolist()):
+        graph.insert(u, v)
+    return graph, n
 
 
 # -- commands (each returns (payload | None, exit_code)) ----------------
 
 
 def _cmd_estimate(args):
-    events = _load_events(args.stream, args.n)
-    cfg = derive_config(
-        n=args.n,
-        m_max=args.m_max,
-        epsilon=args.epsilon,
-        delta=args.delta,
-        alpha_min=args.alpha_min,
-        seed=args.seed,
-        k_override=args.k_override,
-        s_override=args.s_override,
-        colors_override=args.colors_override,
-    )
-    report = estimate_triangles(events, cfg)  # checks the turnstile contract
+    with _open_stream(args.stream) as f:
+        cfg = derive_config(
+            n=args.n,
+            m_max=args.m_max,
+            epsilon=args.epsilon,
+            delta=args.delta,
+            alpha_min=args.alpha_min,
+            seed=args.seed,
+            k_override=args.k_override,
+            s_override=args.s_override,
+            colors_override=args.colors_override,
+        )
+        # reads and checks the stream chunk by chunk, first violation in file order
+        report = estimate_triangles(read_chunks(f, args.n), cfg)
     payload = report.to_dict()
     payload["config"] = asdict(cfg)
     return payload, 0
 
 
 def _cmd_exact(args):
-    events = _load_events(args.stream, args.n)
-    n = args.n if args.n is not None else _infer_n(events)
-    stats = graph_stats(_validated_graph(events, n))
+    graph, n = _final_graph(args.stream, args.n)
+    stats = graph_stats(graph)
     return (
         {
             "config": {"n": n},
@@ -173,9 +198,8 @@ def _cmd_verify(args):
     else:
         if args.stream is None:
             raise ValueError("verify-lemmas needs a stream file or --sweep")
-        events = _load_events(args.stream, None)
-        n = _infer_n(events)
-        rep = verify_lower_bounds(_validated_graph(events, n).adj)
+        graph, n = _final_graph(args.stream, None)
+        rep = verify_lower_bounds(graph.adj)
         violations = (
             int(not rep.connected_ok)
             + int(not rep.general_ok)
@@ -190,10 +214,9 @@ def _cmd_doulion(args):
         raise ValueError(f"--p must be in (0, 1], got {args.p}")
     if args.trials < 1:
         raise ValueError(f"--trials must be positive, got {args.trials}")
-    events = _load_events(args.stream, args.n)
-    n = args.n if args.n is not None else _infer_n(events)
+    graph, n = _final_graph(args.stream, args.n)
     # the coin is a hash of the edge, so the final live edges keep the same graph
-    live = [EdgeEvent(u, v, 1) for u, v in _validated_graph(events, n).edges()]
+    live = [EdgeEvent(u, v, 1) for u, v in graph.edges()]
     estimates = []
     for t in range(args.trials):
         counter = DoulionCounter(n, args.p, seed=mix2(args.seed, t))
@@ -298,7 +321,7 @@ def main(argv=None) -> int:
         return _fail(args, err, 3)
     except StreamError as err:
         return _fail(args, err, 2)
-    except (ValueError, OSError) as err:
+    except (ValueError, OverflowError, OSError) as err:
         return _fail(args, err, 2)
     except RuntimeError as err:
         return _fail(args, err, 4)
@@ -308,3 +331,7 @@ def main(argv=None) -> int:
         payload["version"] = __version__
         _emit(payload, args.format)
     return code
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,16 +1,19 @@
 """End-to-end triangle and transitivity estimation over an edge stream.
 
 The estimate is a function of the final graph alone, so the stream is
-netted once: one sorting pass checks the turnstile contract and leaves the
-edges live at the end.  Those feed a degree sketch (for the 2-path count;
-the sketch is linear, so the netted edges give the same counters as every
-event) and K independently seeded colorings.  Each copy keeps the
-monochromatic live edges as a CSR adjacency over the live vertices.  A copy
-that certifies enough pairwise independent 2-paths contributes one
-indicator: whether a uniformly sampled 2-path of its graph closes into a
-triangle.  The mean indicator estimates the transitivity alpha, and
-T3 = alpha * P2 / 3.  Memory is O(events) for the event arrays and the
-netting pass, plus O(live edges) for one copy at a time.
+netted once: a sorting pass per chunk checks the turnstile contract and
+leaves the edges live at the end.  Those feed a degree sketch (for the
+2-path count; the sketch is linear, so the netted edges give the same
+counters as every event) and K independently seeded colorings.  Each copy
+keeps the monochromatic live edges as a CSR adjacency over the live
+vertices.  A copy that certifies enough pairwise independent 2-paths
+contributes one indicator: whether a uniformly sampled 2-path of its graph
+closes into a triangle.  The mean indicator estimates the transitivity
+alpha, and T3 = alpha * P2 / 3.  A stream with a length (a list, or an
+array triple) is netted as one chunk, so memory is O(events) for it.  Any
+other iterable, such as the chunks of ``stream_core.read_chunks`` that
+``tristream estimate`` passes, is netted chunk by chunk in O(m_max +
+chunk).  On top of that, one copy's CSR takes O(live edges) at a time.
 
 Copies come in groups that share one graph and one verdict: with one color
 all K copies keep the whole graph and form one group, otherwise each copy
@@ -30,7 +33,7 @@ import numpy as np
 from .hashing import mix2, mix2_array
 from .indep_paths import greedy_independent_count
 from .sparsifier import ColoringFunction
-from .stream_core import StreamConfig, events_to_arrays, net_events
+from .stream_core import StreamConfig, event_chunks, events_to_arrays, net_chunks
 from .two_path import TwoPathEstimator
 
 _SKETCH_TAG = (1 << 40) + 1  # domain separation from copy indices
@@ -231,14 +234,16 @@ def _copy_groups(cfg, seeds, vertices, lu, lv) -> Iterator[tuple[_CopyGraph, boo
 def estimate_triangles(events, cfg: EstimatorConfig) -> Report:
     """Run the full estimator over a turnstile stream (deletions included).
 
-    The stream must keep the contract of ``stream_core.materialize`` with
-    capacity ``cfg.m_max``; a violation raises the same ``StreamError`` with
-    the index of the first offending event, before any sketch work.  Copies
-    are built one group at a time from the netted edges (``_copy_groups``).
+    ``events`` is a list or tuple of ``EdgeEvent``, an ``(us, vs, signs)``
+    array triple, or an iterable of either events or array triples, read in
+    chunks (``stream_core.event_chunks``).  The stream must keep the
+    contract of ``stream_core.materialize`` with capacity ``cfg.m_max``; a
+    violation raises the same ``StreamError`` with the index of the first
+    offending event, before any sketch work.  Copies are built one group at
+    a time from the netted edges (``_copy_groups``).
     """
-    us, vs, signs = events_to_arrays(events)
-    us, vs = net_events(us, vs, signs, StreamConfig(n=cfg.n, m_max=cfg.m_max))
-    del signs
+    chunks = map(events_to_arrays, event_chunks(events))
+    us, vs = net_chunks(chunks, StreamConfig(n=cfg.n, m_max=cfg.m_max))
 
     tp = TwoPathEstimator(cfg.n, cfg.epsilon, cfg.delta, seed=mix2(cfg.seed, _SKETCH_TAG))
     tp.update_many((us, vs, np.ones(us.size, dtype=np.int64)))

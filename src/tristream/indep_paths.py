@@ -144,7 +144,7 @@ def spanning_tree_two_paths(adj: dict[int, set[int]]) -> list[TwoPath]:
     root = min(adj)
     parent: dict[int, int] = {root: 0}
     depth = {root: 0}
-    children: dict[int, set[int]] = {v: set() for v in adj}
+    children: dict[int, list[int]] = {v: [] for v in adj}
     order = deque([root])
     while order:
         x = order.popleft()
@@ -152,28 +152,44 @@ def spanning_tree_two_paths(adj: dict[int, set[int]]) -> list[TwoPath]:
             if y not in depth:
                 depth[y] = depth[x] + 1
                 parent[y] = x
-                children[x].add(y)
+                children[x].append(y)
                 order.append(y)
     if len(depth) != len(adj):
         raise NotConnectedError("graph is not connected")
 
+    # Each child list stays sorted and its dead entries are skipped lazily:
+    # first[v] indexes the smallest child of v that may still be alive, and
+    # left[v] counts v's alive children.
+    for kids in children.values():
+        kids.sort()
+    first = dict.fromkeys(adj, 0)
+    left = {v: len(kids) for v, kids in children.items()}
     alive = set(adj)
     heap = [(-depth[v], v) for v in adj if not children[v]]
     heapq.heapify(heap)
     paths: list[TwoPath] = []
     while len(alive) >= 3 and heap:
         _, u = heapq.heappop(heap)
-        if u not in alive or children[u] or u == root:
+        if u not in alive or left[u] or u == root:
             continue
         v = parent[u]
-        siblings = children[v] - {u}
-        if siblings:
-            w = min(siblings)  # deepest-leaf rule makes every sibling a leaf
+        if left[v] > 1:
+            # the smallest alive child of v other than u; the deepest-leaf
+            # rule makes every sibling a leaf
+            kids, i = children[v], first[v]
+            while kids[i] not in alive:
+                i += 1
+            first[v] = i
+            if kids[i] == u:
+                i += 1
+                while kids[i] not in alive:
+                    i += 1
+            w = kids[i]
             paths.append((min(u, w), v, max(u, w)))
             alive.discard(u)
             alive.discard(w)
-            children[v] -= {u, w}
-            if not children[v]:
+            left[v] -= 2
+            if not left[v]:
                 heapq.heappush(heap, (-depth[v], v))
         else:
             if v == root:
@@ -183,8 +199,8 @@ def spanning_tree_two_paths(adj: dict[int, set[int]]) -> list[TwoPath]:
             paths.append((a, v, b))
             alive.discard(u)
             alive.discard(v)
-            children[w].discard(v)
-            if not children[w]:
+            left[w] -= 1
+            if not left[w]:
                 heapq.heappush(heap, (-depth[w], w))
     _assert_independent(paths)
     return paths

@@ -9,13 +9,21 @@ Text format, one event per line::
     + 3 7
     - 3 7
 
-Blank lines and lines starting with ``#`` are ignored.
+Blank lines and lines starting with ``#`` are ignored.  ``read_chunks``
+reads a text stream as array chunks; ``net_chunks`` checks the contract
+chunk by chunk and keeps only the live edges, so a long stream is read and
+checked in memory proportional to the live edges plus one chunk.
 """
 
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import IO, Iterable, Iterator
 
 import numpy as np
+
+# Events per chunk: the lines per block that ``read_chunks`` reads, and the
+# events per chunk that ``event_chunks`` cuts from an EdgeEvent iterator.
+_CHUNK_EVENTS = 1 << 16
 
 
 class StreamError(ValueError):
@@ -163,66 +171,97 @@ def materialize(events: Iterable[EdgeEvent], cfg: StreamConfig) -> AdjacencyGrap
     return g
 
 
-def net_events(
-    us: np.ndarray, vs: np.ndarray, signs: np.ndarray, cfg: StreamConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """Check a whole event array against the contract; return the final live edges.
+def net_chunks(chunks, cfg: StreamConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Check a stream of event array chunks against the contract; return the final live edges.
 
     Array form of ``materialize``: it accepts and rejects the same streams
-    with the same error, message and event index, and at one event it keeps
-    the same precedence (loop, normalization and sign, universe, insert or
-    delete, capacity).  The events are stable-sorted on the key
-    ``u*(n+1) + v``.  An edge's running multiplicity stays in {0, 1} exactly
-    when its signs alternate starting with +1, so a repeated sign is a
-    duplicate insert or a delete of an absent edge.  The running sum of all
-    signs is the live count, checked against ``m_max``.  The endpoint
-    arrays are read as signed 64-bit integers, so a negative endpoint that
+    with the same error, message and event index (counted over all chunks),
+    and at one event it keeps the same precedence (loop, normalization and
+    sign, universe, insert or delete, capacity).  Each chunk is a triple
+    ``(us, vs, signs)`` in the form of ``events_to_arrays``, and only the
+    sorted keys ``u*(n+1) + v`` of the live edges outlive it.  A chunk's
+    events are stable-sorted on the key.  An edge's running multiplicity
+    stays in {0, 1} exactly when its signs alternate, starting with +1 if it
+    was not live before the chunk and with -1 if it was, so a break in that
+    pattern is a duplicate insert or a delete of an absent edge.  The live
+    count plus the running sum of the chunk's signs is checked against
+    ``m_max``.  A chunk is checked whole before the next one is read, so the
+    first violation in a chunk is the stream's first.  The endpoint arrays
+    are read as signed 64-bit integers, so a negative endpoint that
     ``events_to_arrays`` stored as its uint64 bit pattern is reported as
     ``materialize`` reports it.  Returns (us, vs) of the edges live at the
-    end, sorted by (u, v).
+    end as uint64 arrays, sorted by (u, v).
     """
     n = cfg.n
     if n >= 1 << 32:
         raise ValueError(f"universe too large for 64-bit edge keys: n={n}")
-    su, sv = us.view(np.int64), vs.view(np.int64)
-    size = us.size
-    malformed = (su == sv) | (su > sv) | (np.abs(signs) != 1) | (su < 1) | (sv > n)
-    first_bad = int(np.argmax(malformed)) if size else 0
-    k = first_bad if size and malformed[first_bad] else size
-    del malformed
-    # every event before k is well formed; the order checks run on those
-    ps = signs[:k]
-    key = us[:k].astype(np.uint64)
-    key *= np.uint64(n + 1)
-    key += vs[:k].astype(np.uint64, copy=False)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    s = ps[order]
-    same = key[1:] == key[:-1]
-    repeat = np.empty(k, dtype=bool)
-    repeat[:1] = s[:1] != 1
-    repeat[1:] = np.where(same, s[1:] == s[:-1], s[1:] != 1)
-    first_repeat = int(order[repeat].min()) if repeat.any() else size
-    over = np.flatnonzero(np.cumsum(ps) > cfg.m_max)
-    first_over = int(over[0]) if over.size else size
+    base = np.uint64(n + 1)
+    live = np.empty(0, dtype=np.uint64)
+    start = 0  # stream index of the chunk's first event
+    for us, vs, signs in chunks:
+        size = us.size
+        if not size:
+            continue
+        su, sv = us.view(np.int64), vs.view(np.int64)
+        malformed = (su == sv) | (su > sv) | (np.abs(signs) != 1) | (su < 1) | (sv > n)
+        first_bad = int(np.argmax(malformed))
+        k = first_bad if malformed[first_bad] else size
+        del malformed
+        # every event before k is well formed; the order checks run on those
+        ps = signs[:k]
+        key = us[:k].astype(np.uint64)
+        key *= base
+        key += vs[:k].astype(np.uint64, copy=False)
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        s = ps[order]
+        same = key[1:] == key[:-1]
+        repeat = np.empty(k, dtype=bool)
+        repeat[:1] = s[:1] != 1
+        repeat[1:] = np.where(same, s[1:] == s[:-1], s[1:] != 1)
+        last = np.ones(k, dtype=bool)
+        last[:-1] = ~same
+        if live.size:
+            keys = key[last]  # the chunk's distinct keys, ascending
+            pos = live.searchsorted(keys)
+            was_live = pos < live.size
+            was_live[was_live] = live[pos[was_live]] == keys[was_live]
+            # the first event of a key that is live already must delete it
+            firsts = np.flatnonzero(np.append(True, ~same))[was_live]
+            repeat[firsts] = ~repeat[firsts]
+        first_repeat = int(order[repeat].min()) if repeat.any() else size
+        over = np.flatnonzero(np.cumsum(ps) > cfg.m_max - live.size)
+        first_over = int(over[0]) if over.size else size
 
-    i = min(first_repeat, first_over, k)
-    if i < size:
-        u, v, sign = int(su[i]), int(sv[i]), int(signs[i])
-        if i == first_repeat and sign == 1:
-            err = DuplicateInsertError(f"edge ({u}, {v}) already live")
-        elif i == first_repeat:
-            err = DeleteAbsentError(f"edge ({u}, {v}) not live")
-        elif i == first_over:
-            err = OverCapacityError(f"live edges exceed m_max={cfg.m_max}")
-        else:  # event k, the first malformed one
-            err = _malformed(u, v, sign, n)
-        raise type(err)(f"event {i}: {err}")
+        i = min(first_repeat, first_over, k)
+        if i < size:
+            u, v, sign = int(su[i]), int(sv[i]), int(signs[i])
+            if i == first_repeat and sign == 1:
+                err = DuplicateInsertError(f"edge ({u}, {v}) already live")
+            elif i == first_repeat:
+                err = DeleteAbsentError(f"edge ({u}, {v}) not live")
+            elif i == first_over:
+                err = OverCapacityError(f"live edges exceed m_max={cfg.m_max}")
+            else:  # event k, the first malformed one
+                err = _malformed(u, v, sign, n)
+            raise type(err)(f"event {start + i}: {err}")
+        start += size
 
-    # an edge is live at the end iff the last event of its key inserts it
-    last = np.flatnonzero(np.append(~same, True) & (s == 1))
-    live = order[last]
-    return us[live], vs[live]
+        # a key is live after the chunk iff the chunk's last event of it inserts it
+        added = key[last & (s == 1)]
+        if live.size:
+            live = np.delete(live, pos[was_live])
+            live = np.insert(live, live.searchsorted(added), added)
+        else:
+            live = added
+    return live // base, live % base
+
+
+def net_events(
+    us: np.ndarray, vs: np.ndarray, signs: np.ndarray, cfg: StreamConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """``net_chunks`` of one chunk: the whole event array checked in one sorting pass."""
+    return net_chunks([(us, vs, signs)], cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +274,11 @@ def _line_error(kind: type[StreamError], lineno: int, message: str) -> StreamErr
     return err
 
 
-def iter_stream(f: IO[str], n: int | None = None) -> Iterator[tuple[int, EdgeEvent]]:
-    """Yield (line_number, event) pairs from a text stream."""
-    for lineno, line in enumerate(f, start=1):
+def iter_stream(
+    f: IO[str] | Iterable[str], n: int | None = None, start: int = 1
+) -> Iterator[tuple[int, EdgeEvent]]:
+    """Yield (line_number, event) pairs from a text stream whose first line is ``start``."""
+    for lineno, line in enumerate(f, start=start):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -259,6 +300,88 @@ def read_stream(f: IO[str], n: int | None = None) -> list[EdgeEvent]:
     return [e for _, e in iter_stream(f, n)]
 
 
+def _parse_block(text: str, n: int | None):
+    """The events of a block of whole lines as (us, vs, signs), or None.
+
+    None when a line fails the strict gate, or when an event is a loop or
+    has an endpoint outside [1, n] (n None: no upper bound).  The gate
+    passes comment lines (first character ``#``), empty lines, and event
+    lines that are exactly a ``+`` or ``-``, one space, 1 to 18 ASCII
+    digits, one space, 1 to 18 digits; ``iter_stream`` reads every such
+    line the same way.  Whatever else ``iter_stream`` accepts (other
+    whitespace, a sign glued to a number, longer numbers) is left to it.
+    """
+    if not text.endswith("\n"):
+        text += "\n"
+    # non-ASCII characters encode to bytes >= 0x80, which no event line holds
+    buf = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    ends = np.flatnonzero(buf == 10)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    head = buf[starts]
+    skip = (head == ord("#")) | (head == 10)
+    if skip.any():
+        buf = buf[np.repeat(~skip, ends - starts + 1)]
+        ends = np.flatnonzero(buf == 10)
+        starts = np.concatenate(([0], ends[:-1] + 1))[: ends.size]
+        head = buf[starts]
+    # Two spaces per line, the first right after the sign and the second
+    # before the newline; then exactly the sign, the spaces and the newline
+    # are not digits.
+    spaces = np.flatnonzero(buf == 32)
+    if spaces.size != 2 * ends.size:
+        return None
+    first, second = spaces[0::2], spaces[1::2]
+    len_u, len_v = second - first - 1, ends - second - 1
+    if not (
+        ((head == ord("+")) | (head == ord("-"))).all()
+        and (first == starts + 1).all()
+        and ((len_u >= 1) & (len_u <= 18) & (len_v >= 1) & (len_v <= 18)).all()
+        and np.count_nonzero((buf - ord("0")) > 9) == 4 * ends.size
+    ):
+        return None
+    signs = np.where(head == ord("+"), 1, -1)
+    digits = buf.copy()
+    digits[starts] = 32
+    uv = np.fromstring(digits.tobytes(), dtype=np.int64, sep=" ").reshape(-1, 2)
+    u, v = uv[:, 0], uv[:, 1]
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    if (lo == hi).any() or (lo < 1).any() or (n is not None and (hi > n).any()):
+        return None
+    return lo.view(np.uint64), hi.view(np.uint64), signs
+
+
+def read_chunks(
+    f: IO[str], n: int | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Read a text stream as ``(us, vs, signs)`` chunks of at most ``_CHUNK_EVENTS`` events.
+
+    The events, errors, messages and line numbers are those of
+    ``iter_stream``.  Lines are read in blocks of ``_CHUNK_EVENTS``, and a
+    block that ``_parse_block`` reads is parsed in one numpy pass.  Any other
+    block is read again by ``iter_stream`` from its first line number; if it
+    raises, the events before the bad line come as a chunk first, so that a
+    consumer that checks each chunk before asking for the next meets
+    violations in file order.  Endpoints are normalized (u < v) and stored in
+    the uint64 form of ``events_to_arrays``; chunks are never empty.
+    """
+    lineno = 1
+    while lines := list(islice(f, _CHUNK_EVENTS)):
+        chunk = _parse_block("".join(lines), n)
+        if chunk is None:
+            events = []
+            try:
+                for _, e in iter_stream(lines, n, start=lineno):
+                    events.append(e)
+            except StreamError:
+                if events:
+                    yield events_to_arrays(events)
+                raise
+            chunk = events_to_arrays(events)
+        if chunk[0].size:
+            yield chunk
+        lineno += len(lines)
+
+
 def format_event(e: EdgeEvent) -> str:
     return f"{'+' if e.sign == 1 else '-'} {e.u} {e.v}"
 
@@ -273,6 +396,29 @@ def _endpoints(x) -> np.ndarray:
     return x if x.dtype == np.uint64 else x.astype(np.int64, copy=False).view(np.uint64)
 
 
+def event_chunks(events) -> Iterator:
+    """A stream cut into the chunks that ``events_to_arrays`` converts, in order.
+
+    A stream with a length (a list or tuple of EdgeEvent, or an array
+    triple) is one chunk.  Any other iterable is read as it goes: EdgeEvents
+    in lists of at most ``_CHUNK_EVENTS``, and any other items, such as the
+    chunks of ``read_chunks``, one chunk each.
+    """
+    if hasattr(events, "__len__"):
+        yield events
+        return
+    it = iter(events)
+    head = next(it, None)
+    if head is None:
+        return
+    it = chain((head,), it)
+    if isinstance(head, EdgeEvent):
+        while batch := list(islice(it, _CHUNK_EVENTS)):
+            yield batch
+    else:
+        yield from it
+
+
 def events_to_arrays(events) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical array form (u, v, sign) used by the batched ingest paths.
 
@@ -281,7 +427,7 @@ def events_to_arrays(events) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     tuple of three EdgeEvents is three events, not a triple.  Any other
     endpoints are read as 64-bit signed integers and stored as their uint64
     bit pattern, so a negative endpoint wraps the same way in every input;
-    ``net_events`` reads them back signed.
+    ``net_chunks`` reads them back signed.
     """
     if isinstance(events, tuple) and len(events) == 3 and not isinstance(events[0], EdgeEvent):
         u, v, s = events

@@ -5,10 +5,12 @@ Edge lists use 1-based vertex ids with u < v.  NAMED_GRAPHS maps a label to
 enumeration, independently of the library code.
 """
 
+import contextlib
 import random
 
 from hypothesis import strategies as st
 
+from tristream import stream_core
 from tristream.stream_core import AdjacencyGraph, EdgeEvent, StreamError
 
 
@@ -74,3 +76,14 @@ def contract_outcome(fn):
     except StreamError as err:
         return type(err), str(err)
     return None
+
+
+@contextlib.contextmanager
+def chunk_size(events: int):
+    """Read and net streams in chunks of ``events`` events inside the block."""
+    saved = stream_core._CHUNK_EVENTS
+    stream_core._CHUNK_EVENTS = events
+    try:
+        yield
+    finally:
+        stream_core._CHUNK_EVENTS = saved

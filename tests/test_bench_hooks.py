@@ -49,11 +49,13 @@ def test_tracer_wraps_and_restores_the_package_names(tmp_path, capsys):
     capsys.readouterr()
     assert all(getattr(o, a) is f for (o, a), f in zip(WRAPPED, originals))
 
+    # the CLI reads through read_chunks and nets with net_chunks, so the
+    # wrapped read_stream and materialize are never called; WRAPPED still
+    # checks that the names resolve
     names = {s[0] for s in tracer.spans}
     assert names >= {
-        "stream_core.read_stream", "stream_core.materialize", "estimator.derive_config",
-        "estimator.estimate_triangles", "stream_core.events_to_arrays",
-        "indep_paths.greedy_independent_count", "two_path.build", "two_path.update_many",
-        "two_path.estimate", "sparsifier.colors_of",
+        "estimator.derive_config", "estimator.estimate_triangles",
+        "stream_core.events_to_arrays", "indep_paths.greedy_independent_count",
+        "two_path.build", "two_path.update_many", "two_path.estimate", "sparsifier.colors_of",
     }
-    assert tracer.counts["parsed_events"] == 12 and tracer.counts["array_events"] == 6
+    assert tracer.counts["array_events"] == 6

@@ -1,15 +1,35 @@
+import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tristream
+from conftest import chunk_size, small_streams
+from tristream import cli
 from tristream.baselines import DoulionCounter
 from tristream.cli import main
+from tristream.estimator import NoQualifiedCopiesError, derive_config, estimate_triangles
 from tristream.generators import gnp_edges, with_churn
 from tristream.hashing import mix2
-from tristream.stream_core import StreamConfig, StreamError, materialize, read_stream, write_stream
+from tristream.indep_paths import verify_lower_bounds
+from tristream.oracles import graph_stats
+from tristream.stream_core import (
+    StreamConfig,
+    StreamError,
+    iter_stream,
+    materialize,
+    read_chunks,
+    read_stream,
+    write_stream,
+)
 
 
 def run_cli(argv, capsys):
@@ -180,3 +200,121 @@ def test_estimate_rejects_contract_violations_like_materialize(tmp_path, capsys,
     error = json.loads(out)["error"]
     assert error == {"type": kind, "message": str(want.value)}
     assert type(want.value).__name__ == kind
+
+
+def test_module_runs_as_a_script(tmp_path):
+    path = tmp_path / "k4.txt"
+    path.write_text("+ 1 2\n+ 1 3\n+ 1 4\n+ 2 3\n+ 2 4\n+ 3 4\n")
+    src = str(Path(tristream.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "tristream.cli", "exact", str(path)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert json.loads(done.stdout)["t3"] == 4
+
+
+def test_estimate_reports_the_first_violation_in_file_order(tmp_path, capsys):
+    # the duplicate insert on line 3 comes before the bad line 4
+    path = tmp_path / "mixed.txt"
+    path.write_text("+ 1 2\n+ 2 3\n+ 1 2\nbogus\n")
+    code, out = run_cli(["estimate", str(path), "--n", "5", "--m-max", "4"], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "DuplicateInsertError",
+                                        "message": "event 2: edge (1, 2) already live"}
+    # exact, doulion and verify-lemmas parse the whole file first
+    for argv in (["exact", str(path)], ["doulion", str(path), "--p", "0.5"],
+                 ["verify-lemmas", str(path)]):
+        code, out = run_cli(argv, capsys)
+        assert code == 2
+        assert json.loads(out)["error"]["line"] == 4
+
+
+@pytest.mark.parametrize("line, kind", [
+    ("+ 1 99999999999", "ValueError"),  # above 2^32: no 64-bit edge key
+    ("+ 1 99999999999999999999", "OverflowError"),  # above 2^63: no int64
+])
+def test_exact_rejects_vertex_ids_beyond_the_edge_keys(tmp_path, capsys, line, kind):
+    path = tmp_path / "big.txt"
+    path.write_text(line + "\n")
+    code, out = run_cli(["exact", str(path)], capsys)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == kind
+
+
+def test_file_commands_match_materialize_on_churned_streams(tmp_path, capsys):
+    # a sparse graph with shuffled inserts, so that the adjacency sets of a
+    # replay iterate in an order other than sorted
+    events, n = with_churn(gnp_edges(400, 0.02, seed=9), 300, seed=9, n_base=400)
+    path = tmp_path / "churn.txt"
+    with open(path, "w") as f:
+        write_stream(events, f)
+    ref = materialize(events, StreamConfig(n=n, m_max=len(events)))
+    graph, got_n = cli._final_graph(str(path), None)
+    assert got_n == n
+    assert list(graph.adj) == list(ref.adj)
+    assert all(list(graph.adj[x]) == list(ref.adj[x]) for x in ref.adj)
+
+    code, out = run_cli(["exact", str(path)], capsys)
+    stats = graph_stats(ref)
+    assert code == 0 and json.loads(out)["t3"] == stats.t3 and json.loads(out)["p2"] == stats.p2
+    code, out = run_cli(["verify-lemmas", str(path)], capsys)
+    assert json.loads(out)["report"] == asdict(verify_lower_bounds(ref.adj))
+
+
+MALFORMED_LINES = ["+3 7", "+ 1 2 3", "* 1 2", "+ a 2", "+ 1 123456789012345678901", "# note", ""]
+
+
+@st.composite
+def text_streams(draw):
+    """(n, m_max, text): a ``small_streams`` case written as text, in several
+    spellings, with malformed, comment and blank lines mixed in."""
+    n, m_max, events = draw(small_streams())
+    lines = []
+    for e in events:
+        sign = {1: "+", -1: "-", 0: "0", 2: "+2"}[e.sign]
+        canonical = "{} {} {}"
+        style = draw(st.sampled_from((canonical, canonical, "{}  {} {}", "{}\t{} {}", "{} 0{} {}")))
+        u, v = (e.u, e.v) if draw(st.booleans()) else (e.v, e.u)
+        lines.append(style.format(sign, u, v))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(MALFORMED_LINES)))
+    return n, m_max, "\n".join(lines) + draw(st.sampled_from(("\n", "")))
+
+
+def _error(err):
+    detail = {"type": type(err).__name__, "message": str(err)}
+    if getattr(err, "line", None) is not None:
+        detail["line"] = err.line
+    return detail
+
+
+def _library_outcome(events, cfg):
+    try:
+        return estimate_triangles(events, cfg).to_dict()
+    except (StreamError, NoQualifiedCopiesError) as err:
+        return _error(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text_streams(), st.sampled_from((1, 2, 3)), st.integers(1, 2))
+def test_estimate_over_the_reader_matches_lazy_materialize(tmp_path_factory, case, size, colors):
+    n, m_max, text = case
+    cfg = derive_config(n=n, m_max=m_max, k_override=3, s_override=1, colors_override=colors)
+    try:  # the reference: one event at a time, text and contract checks interleaved
+        materialize((e for _, e in iter_stream(io.StringIO(text), n)), StreamConfig(n, m_max))
+        want = _library_outcome(read_stream(io.StringIO(text), n), cfg)
+    except StreamError as err:
+        want = _error(err)
+    path = tmp_path_factory.getbasetemp() / "stream.txt"
+    path.write_text(text)
+    argv = ["estimate", str(path), "--n", str(n), "--m-max", str(m_max), "--k-override", "3",
+            "--s-override", "1", "--colors-override", str(colors)]
+    with chunk_size(size):
+        assert _library_outcome(read_chunks(io.StringIO(text), n), cfg) == want
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            main(argv)
+    payload = json.loads(out.getvalue())
+    if "error" in payload:
+        assert payload["error"] == want
+    else:
+        assert {k: payload[k] for k in want} == want

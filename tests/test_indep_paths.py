@@ -1,5 +1,7 @@
+import heapq
 import random
 import time
+from collections import deque
 
 import numpy as np
 import pytest
@@ -169,6 +171,81 @@ def test_spanning_tree_witness_meets_floor():
         adj = adj_dict(edges)
         for u, c, w in paths:
             assert c in adj[u] and c in adj[w]
+
+
+def _reference_spanning_tree(adj):
+    """Reference construction: rebuilds ``children[v] - {u}`` and takes its
+    min every round, which is quadratic at a hub."""
+    root = min(adj)
+    parent = {root: 0}
+    depth = {root: 0}
+    children = {v: set() for v in adj}
+    order = deque([root])
+    while order:
+        x = order.popleft()
+        for y in adj[x]:
+            if y not in depth:
+                depth[y] = depth[x] + 1
+                parent[y] = x
+                children[x].add(y)
+                order.append(y)
+    alive = set(adj)
+    heap = [(-depth[v], v) for v in adj if not children[v]]
+    heapq.heapify(heap)
+    paths = []
+    while len(alive) >= 3 and heap:
+        _, u = heapq.heappop(heap)
+        if u not in alive or children[u] or u == root:
+            continue
+        v = parent[u]
+        siblings = children[v] - {u}
+        if siblings:
+            w = min(siblings)
+            paths.append((min(u, w), v, max(u, w)))
+            alive.discard(u)
+            alive.discard(w)
+            children[v] -= {u, w}
+            if not children[v]:
+                heapq.heappush(heap, (-depth[v], v))
+        else:
+            if v == root:
+                break
+            w = parent[v]
+            a, b = sorted((u, w))
+            paths.append((a, v, b))
+            alive.discard(u)
+            alive.discard(v)
+            children[w].discard(v)
+            if not children[w]:
+                heapq.heappush(heap, (-depth[w], w))
+    return paths
+
+
+def test_spanning_tree_matches_reference():
+    rng = random.Random(17)
+    checked = 0
+    while checked < 300:
+        n = rng.randint(2, 60)
+        # a random tree keeps the graph connected; extra edges, often to a
+        # few hubs, vary the BFS tree and its sibling groups
+        edges = {(rng.randint(1, v - 1), v) for v in range(2, n + 1)}
+        hubs = rng.sample(range(1, n + 1), min(n, 3))
+        for _ in range(rng.randint(0, 2 * n)):
+            u, v = rng.choice(hubs), rng.randint(1, n)
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+        adj = adj_dict(sorted(edges))
+        assert spanning_tree_two_paths(adj) == _reference_spanning_tree(adj)
+        checked += 1
+
+
+def test_spanning_tree_is_fast_at_a_hub():
+    adj = adj_dict(star_edges(16_001))  # K_{1,16000}
+    start = time.perf_counter()
+    paths = spanning_tree_two_paths(adj)
+    elapsed = time.perf_counter() - start
+    assert len(paths) == 8_000
+    assert elapsed < 0.5, f"spanning_tree_two_paths took {elapsed:.2f}s on K_1,16000"
 
 
 def test_spanning_tree_witness_on_cliques_and_cycles():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import contract_outcome, small_streams
+from conftest import chunk_size, contract_outcome, small_streams
+from tristream import stream_core
 from tristream.stream_core import (
     AdjacencyGraph,
     DeleteAbsentError,
@@ -15,12 +16,15 @@ from tristream.stream_core import (
     OutOfUniverseError,
     OverCapacityError,
     StreamConfig,
+    StreamError,
     StreamFormatError,
     events_to_arrays,
     format_event,
     materialize,
+    net_chunks,
     net_events,
     normalize_event,
+    read_chunks,
     read_stream,
     write_stream,
 )
@@ -181,3 +185,108 @@ def test_net_events_nets_churn_to_the_final_edges():
     assert us.dtype == np.uint64 and list(zip(us.tolist(), vs.tolist())) == [(1, 2), (2, 9)]
     us, vs = net_events(*events_to_arrays([]), cfg)
     assert us.size == 0 and vs.size == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_streams(), st.integers(1, 4))
+def test_net_chunks_agrees_with_net_events_at_every_chunk_size(case, size):
+    n, m_max, events = case
+    cfg = StreamConfig(n=n, m_max=m_max)
+    us, vs, signs = events_to_arrays(events)
+    chunks = [(us[i:i + size], vs[i:i + size], signs[i:i + size])
+              for i in range(0, us.size, size)]
+    whole, cut = [], []
+    want = contract_outcome(lambda: whole.append(net_events(us, vs, signs, cfg)))
+    assert contract_outcome(lambda: cut.append(net_chunks(chunks, cfg))) == want
+    if want is None:
+        assert all(np.array_equal(a, b) and b.dtype == np.uint64 for a, b in zip(*whole, *cut))
+
+
+def test_net_chunks_carries_the_live_set_across_chunks():
+    cfg = StreamConfig(n=9, m_max=2)
+    raw = [(1, 2, 1), (4, 5, 1), (1, 2, -1), (2, 9, 1), (1, 2, 1), (4, 5, -1)]
+    arrays = events_to_arrays([EdgeEvent(*t) for t in raw])
+    # (4, 5) is live when its delete arrives in the second chunk, and (1, 2)
+    # comes back over capacity there: the third live edge at event 4
+    chunks = [tuple(a[:3] for a in arrays), tuple(a[3:] for a in arrays)]
+    with pytest.raises(OverCapacityError, match="^event 4: "):
+        net_chunks(chunks, cfg)
+    us, vs = net_chunks(chunks, StreamConfig(n=9, m_max=3))
+    assert list(zip(us.tolist(), vs.tolist())) == [(1, 2), (2, 9)]
+    with pytest.raises(DuplicateInsertError, match=r"^event 3: edge \(4, 5\) already live$"):
+        net_chunks([tuple(a[:2] for a in arrays), events_to_arrays([EdgeEvent(4, 6, 1),
+                                                                    EdgeEvent(4, 5, 1)])],
+                   StreamConfig(n=9, m_max=5))
+
+
+def _read_outcome(text, n, reader):
+    """The events a reader returns as (u, v, sign) tuples, or its error and line."""
+    try:
+        return reader(io.StringIO(text), n)
+    except StreamError as err:
+        return type(err), str(err), err.line
+
+
+def _by_read_stream(f, n):
+    return [(e.u, e.v, e.sign) for e in read_stream(f, n)]
+
+
+def _by_read_chunks(f, n):
+    out = []
+    for us, vs, signs in read_chunks(f, n):
+        assert us.dtype == vs.dtype == np.uint64 and signs.dtype == np.int64
+        assert 0 < us.size <= stream_core._CHUNK_EVENTS
+        out += zip(us.tolist(), vs.tolist(), signs.tolist())
+    return out
+
+
+# lines that a blind "+" -> "1" rewrite, or a loose gate, would misread
+GATE_HAZARDS = [
+    "+3 7", "+ 3 7 9", "+  3 7", "+\t3 7", " + 3 7", "+ 3 7 ", "+ 3 7\r", "- -3 7",
+    "+ 0 4", "+ 5 5", "+ 7 3", "+ 007 03", "+ 1 1234567890123456789",
+    "+ 1 123456789012345678", "# n=5", "", "#", "  ", " # note", "+ 1 ٣", "* 1 2",
+    "+ 1", "+ 1 2 # note", "+ 1 2+", "- 4 2-", "+ 1 -2", "++ 1 2",
+]
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 1 << 16])
+@pytest.mark.parametrize("n", [5, None])
+def test_read_chunks_reads_gate_hazards_as_read_stream(size, n):
+    cases = [f"+ 1 2\n{line}\n- 1 2\n+ 2 4" for line in GATE_HAZARDS]
+    cases += ["# n=5\n+ 1 2\n\n# comment\n+ 2 3\n- 1 2\n", "+ 1 2\r\n+ 2 3\r\n", "+ 4 1",
+              "\n\n# only comments\n", "", "+ 2 1\n+ 1 2\n"]
+    with chunk_size(size):
+        for text in cases:
+            want = _read_outcome(text, n, _by_read_stream)
+            assert _read_outcome(text, n, _by_read_chunks) == want, text
+
+
+def test_read_chunks_parses_gen_output_without_the_line_reader(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("fell back to iter_stream")
+
+    text = "# n=30\n" + "".join(f"{'+-'[i % 2]} {30 - i // 2} {i // 2 + 1}\n" for i in range(40))
+    want = _by_read_stream(io.StringIO(text), 30)
+    monkeypatch.setattr(stream_core, "iter_stream", fail)
+    with chunk_size(7):
+        assert _by_read_chunks(io.StringIO(text), 30) == want
+        assert _by_read_chunks(io.StringIO(text.rstrip("\n")), 30) == want
+
+
+def test_read_chunks_yields_the_events_before_a_bad_line_first():
+    with chunk_size(4):
+        chunks = read_chunks(io.StringIO("+ 1 2\n+ 2 3\n+ 3 4\n+ 4 5\n+ 1 2\n+ 1 1\n"), 5)
+        assert next(chunks)[0].size == 4
+        assert next(chunks)[0].tolist() == [1]
+        with pytest.raises(LoopEdgeError, match="^line 6: ") as err:
+            next(chunks)
+    assert err.value.line == 6
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.text(alphabet="+- 0129#\t\r", max_size=9), max_size=7),
+       st.booleans(), st.sampled_from((3, None)), st.sampled_from((1, 2, 3, 1 << 16)))
+def test_read_chunks_reads_any_text_as_read_stream(lines, final_newline, n, size):
+    text = "\n".join(lines) + ("\n" if final_newline else "")
+    with chunk_size(size):
+        assert _read_outcome(text, n, _by_read_chunks) == _read_outcome(text, n, _by_read_stream)
