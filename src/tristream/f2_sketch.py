@@ -13,6 +13,16 @@ The estimate is the median of the row readouts.
 Linearity makes the sketch order-independent and mergeable, and lets
 ``update_many`` collapse repeated ±1 updates of one item into a single
 weighted update with bit-identical counters.
+
+The update kernel works in blocks of ``_BLOCK_CELLS`` = 2^16 (row, item)
+cells, about 455 items at the default 144 rows, through four reused 512 KB
+buffers, so its temporaries do not grow with the item count.  With x^2 and
+x^3 reduced mod p once per item, a row's sign polynomial
+a3*x^3 + a2*x^2 + a1*x + a0 is below 3(p-1)^2 + p < 2^64 for every
+supported prime (up to 2^31 - 1) and needs one reduction.  Its parity needs
+no remainder: with q = y // p, (y mod p) & 1 == (y ^ q) & 1 because p is
+odd, as every supported Mersenne prime is.  Remainders are taken as
+y - (y // m) * m, since numpy divides by a scalar faster than it takes ``%``.
 """
 
 import math
@@ -47,7 +57,21 @@ def sketch_dims(epsilon: float, delta: float) -> tuple[int, int]:
 
 
 _WEIGHT_BUDGET = 1 << 62  # conservative: |counter| <= sum of |weight| always
-_CHUNK_CELLS = 1 << 20  # items x rows evaluated per numpy pass, bounds temporaries
+_BLOCK_CELLS = 1 << 16  # (row, item) cells per kernel block: 512 KB per buffer
+
+
+def _integers(values, name: str) -> np.ndarray:
+    """``values`` as an integer array; floats, bools and objects are refused."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got dtype {arr.dtype}")
+    return arr
+
+
+def _abs_sum(weights: np.ndarray) -> int:
+    """Exact sum of |weight|; an int64 sum would wrap past 2^63."""
+    mag = np.abs(weights).astype(np.uint64)  # |-2^63| wraps to 2^63 exactly
+    return (int((mag >> np.uint64(32)).sum()) << 32) + int((mag & np.uint64(0xFFFFFFFF)).sum())
 
 
 class F2Sketch:
@@ -97,10 +121,12 @@ class F2Sketch:
         """Apply weighted updates in one pass.
 
         Equivalent, counter for counter, to repeating ``update`` |weight|
-        times per item; zero weights are skipped.
+        times per item; zero weights are skipped.  Items and weights must be
+        integers: a float or bool array raises ``ValueError`` rather than
+        being truncated.
         """
-        items = np.ascontiguousarray(items, dtype=np.uint64)
-        weights = np.ascontiguousarray(weights, dtype=np.int64)
+        items = _integers(items, "items")
+        weights = _integers(weights, "weights")
         if items.shape != weights.shape:
             raise ValueError("items and weights must have matching length")
         live = weights != 0
@@ -110,36 +136,61 @@ class F2Sketch:
             return
         if items.min() < 1 or items.max() > self.n:
             raise ValueError(f"item outside universe [1, {self.n}]")
-        self._abs_weight += int(np.abs(weights).sum())
+        self._abs_weight += _abs_sum(weights)
         if self._abs_weight >= _WEIGHT_BUDGET:
             raise CounterOverflowError("accumulated weight exceeds the 64-bit counter budget")
-        step = max(1, _CHUNK_CELLS // self.rows)
-        for lo in range(0, items.size, step):
-            cells, signed = self._cells(items[lo:lo + step], weights[lo:lo + step])
-            np.add.at(self._counters, cells.ravel(), signed.ravel())
+        self._apply(items.astype(np.uint64), weights.astype(np.int64))
 
-    def _cells(self, items: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Flat counter index and signed weight of every (row, item) pair.
+    def _apply(self, x: np.ndarray, weights: np.ndarray) -> None:
+        """Add every item's signed weight to its counter in each row.
 
-        Operands stay below p < 2^31 after each reduction, so every product
-        plus coefficient is below 2^62 and the uint64 arithmetic is exact.
+        Items go through in blocks of ``_BLOCK_CELLS // rows`` items, so the
+        four (rows x block) buffers below stay cache-sized and are reused by
+        every block through ``out=``.
         """
-        p = np.uint64(self.prime)
+        p, cols = np.uint64(self.prime), np.uint64(self.cols)
+        # x < p, so x^2 and x^3 reduced once per item keep every product
+        # below (p-1)^2; a row's polynomial a3*x^3 + a2*x^2 + a1*x + a0 then
+        # stays below 3(p-1)^2 + p < 2^64 and needs one reduction, not three.
+        x2 = x * x
+        x2 -= x2 // p * p
+        x3 = x2 * x
+        x3 -= x3 // p * p
         a0, a1, a2, a3 = self._sign
-        x = a3 * items + a2
-        x %= p
-        x *= items
-        x += a1
-        x %= p
-        x *= items
-        x += a0
-        x %= p
-        signed = np.where(x & np.uint64(1), weights, -weights)
         a, b = self._bucket
-        h = a * items + b
-        h %= p
-        h %= np.uint64(self.cols)
-        return self._row_base + h.astype(np.int64), signed
+        rows = self.rows
+        step = max(1, _BLOCK_CELLS // rows)
+        size = rows * min(step, x.size)
+        y_buf, q_buf = np.empty(size, np.uint64), np.empty(size, np.uint64)
+        cell_buf, signed_buf = np.empty(size, np.int64), np.empty(size, np.int64)
+        for lo in range(0, x.size, step):
+            hi = min(lo + step, x.size)
+            cells = rows * (hi - lo)
+            y, q, cell, signed = (
+                buf[:cells].reshape(rows, hi - lo) for buf in (y_buf, q_buf, cell_buf, signed_buf)
+            )
+            np.multiply(a3, x3[lo:hi], out=y)
+            y += np.multiply(a2, x2[lo:hi], out=q)
+            y += np.multiply(a1, x[lo:hi], out=q)
+            y += a0
+            # Sign from the low bit of y mod p = y - q*p with q = y // p.  For
+            # odd p, q*p has q's parity and subtraction agrees with xor in the
+            # low bit, so (y mod p) & 1 == (y ^ q) & 1: one // and no %.
+            np.floor_divide(y, p, out=q)
+            y ^= q
+            y &= np.uint64(1)
+            sign = y.view(np.int64)
+            sign <<= 1
+            sign -= 1
+            np.multiply(sign, weights[lo:hi], out=signed)
+            # Bucket ((a*x + b) mod p) mod cols, each mod as y - (y // m) * m;
+            # a*x + b < p^2 < 2^62.
+            np.multiply(a, x[lo:hi], out=y)
+            y += b
+            y -= np.multiply(np.floor_divide(y, p, out=q), p, out=q)
+            y -= np.multiply(np.floor_divide(y, cols, out=q), cols, out=q)
+            np.add(self._row_base, y.view(np.int64), out=cell)
+            np.add.at(self._counters, cell_buf[:cells], signed_buf[:cells])
 
     def estimate(self) -> float:
         """Median over rows of the sum over columns of squared counters."""

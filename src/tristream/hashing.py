@@ -39,8 +39,8 @@ def mix2_array(seed: int, xs: np.ndarray) -> np.ndarray:
 
 
 # Mersenne primes 2^k - 1, listed as (k, p), used as the field moduli of the
-# F2 sketch's sign and bucket hashes.  Below 2^31, so a product of two
-# reduced values plus a coefficient stays exact in uint64.
+# F2 sketch's sign and bucket hashes.  Odd and below 2^31, so the sum of
+# three products of reduced values plus a coefficient stays exact in uint64.
 MERSENNE_PRIMES = ((13, 8191), (17, 131071), (19, 524287), (31, 2147483647))
 
 

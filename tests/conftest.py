@@ -10,7 +10,7 @@ import random
 
 from hypothesis import strategies as st
 
-from tristream import stream_core
+from tristream import f2_sketch, stream_core
 from tristream.stream_core import AdjacencyGraph, EdgeEvent, StreamError
 
 
@@ -87,3 +87,14 @@ def chunk_size(events: int):
         yield
     finally:
         stream_core._CHUNK_EVENTS = saved
+
+
+@contextlib.contextmanager
+def block_cells(cells: int):
+    """Run the F2 sketch kernel in blocks of ``cells`` cells inside the block."""
+    saved = f2_sketch._BLOCK_CELLS
+    f2_sketch._BLOCK_CELLS = cells
+    try:
+        yield
+    finally:
+        f2_sketch._BLOCK_CELLS = saved

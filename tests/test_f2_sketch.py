@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from conftest import block_cells
 
 from tristream.f2_sketch import (
     CounterOverflowError,
@@ -92,6 +95,15 @@ def test_update_validation():
         sk.update_many([11], [1])
     with pytest.raises(ValueError):
         sk.update_many([1, 2], [1])
+    # floats and bools are refused, not truncated onto an integer item or
+    # weight, and a negative item is outside the universe in a list too
+    for items, weights in (([1.5], [1]), ([1], [1.5]), (np.array([2.0]), [1]),
+                           ([True], [1]), ([1], [True]), ([-1], [1]), (np.array([-1]), [1])):
+        with pytest.raises(ValueError):
+            sk.update_many(items, weights)
+    with pytest.raises(ValueError):
+        sk.update(3, 1.0)
+    assert not sk.counters.any()
     before = sk.counters
     sk.update_many([1, 2], [0, 0])  # zero weights are dropped
     assert np.array_equal(before, sk.counters)
@@ -102,6 +114,11 @@ def test_weight_budget_overflow():
     sk.update_many([1], [1 << 61])
     with pytest.raises(CounterOverflowError):
         sk.update_many([2], [1 << 61])
+    # |weight| sums past 2^63 in one call, where an int64 sum wraps negative
+    with pytest.raises(CounterOverflowError):
+        F2Sketch(10, rows=2, cols=2, seed=0).update_many([1, 2, 3, 4], [1 << 61] * 4)
+    with pytest.raises(CounterOverflowError):
+        F2Sketch(10, rows=2, cols=2, seed=0).update_many([1], [-(1 << 63)])
 
 
 def _scalar_counters(sk, items, weights):
@@ -118,16 +135,68 @@ def _scalar_counters(sk, items, weights):
     return ref
 
 
+_PRIMES = ((100, 8191), (10_000, 131071), (200_000, 524287), (600_000, 2**31 - 1))
+
+
 def test_kernels_agree_bit_for_bit():
-    # n = 100, 10^4, 2*10^5, 6*10^5 select the 13-, 17-, 19- and 31-bit primes
+    # n = 100, 10^4, 2*10^5, 6*10^5 select the 13-, 17-, 19- and 31-bit
+    # primes; 3 rows in blocks of 12 cells make B = 4 items per block, and
+    # item counts 1, B-1, B, B+1 and 2B+3 end a block early, on the edge
+    # and past it.  5 cells make B = 1 item; 2 cells, below the row count,
+    # still give one item per block.
     rng = np.random.default_rng(4)
-    for n, prime in ((100, 8191), (10_000, 131071), (200_000, 524287), (600_000, 2**31 - 1)):
-        sk = F2Sketch(n, rows=3, cols=17, seed=21)
-        assert sk.prime == prime
-        items = [1, 2, n // 2, n - 1, n] + rng.integers(1, n + 1, size=40).tolist()
-        weights = [4, -2, 7, 1, -5] + rng.integers(-9, 10, size=40).tolist()
+    for n, prime in _PRIMES:
+        for cells, count in ((12, 1), (12, 3), (12, 4), (12, 5), (12, 11), (5, 7), (2, 3),
+                             (1 << 16, 45)):
+            sk = F2Sketch(n, rows=3, cols=17, seed=21)
+            assert sk.prime == prime
+            items = ([1, n, n // 2, n - 1, 2] + rng.integers(1, n + 1, size=40).tolist())[:count]
+            weights = ([4, -2, 7, 1, -5] + rng.integers(-9, 10, size=40).tolist())[:count]
+            with block_cells(cells):
+                sk.update_many(items, weights)
+            assert sk.counters.tolist() == _scalar_counters(sk, items, weights)
+
+
+def test_kernel_at_default_dims_and_budget_edge():
+    # 144 x 2400 cells in real 2^16-cell blocks (B = 455 items): 2B+3 items
+    rng = np.random.default_rng(7)
+    sk = F2Sketch.from_accuracy(600_000, 0.3, 0.1, seed=3)
+    assert (sk.rows, sk.cols, sk.prime) == (144, 2400, 2**31 - 1)
+    items = rng.choice(np.arange(1, 600_001), size=2 * 455 + 3, replace=False).tolist()
+    weights = rng.integers(-3, 4, size=len(items)).tolist()
+    sk.update_many(items, weights)
+    assert sk.counters.tolist() == _scalar_counters(sk, items, weights)
+    # Weights of +-2^61 with mixed signs fill the budget to 2^62 - 1.  Item 1
+    # and a partner that shares its counter in some row, with the signs
+    # there agreeing, push that counter to +-(2^62 - 1) exactly.
+    probe = F2Sketch.from_accuracy(600_000, 0.3, 0.1, seed=3)
+    one = np.array(_scalar_counters(probe, [1], [1]))
+    partner = next(v for v in range(2, 10_000)
+                   if (one * np.array(_scalar_counters(probe, [v], [1])) > 0).any())
+    for weights in ([1 << 61, (1 << 61) - 1], [-(1 << 61), -(1 << 61) + 1],
+                    [1 << 61, -(1 << 61) + 1], [-(1 << 61), (1 << 61) - 1]):
+        sk = F2Sketch.from_accuracy(600_000, 0.3, 0.1, seed=3)
+        sk.update_many([1, partner], weights)
+        ref = _scalar_counters(sk, [1, partner], weights)
+        assert sk.counters.tolist() == ref
+        assert max(abs(c) for row in ref for c in row) in ((1 << 62) - 1, 1 << 61)
+    with pytest.raises(CounterOverflowError):
+        sk.update_many([2], [1])
+
+
+def test_kernel_memory_is_bounded_by_its_blocks():
+    # the kernel's temporaries are four 2^16-cell buffers plus a few arrays
+    # over the items, not (rows x items)-cell arrays
+    sk = F2Sketch.from_accuracy(12_000, 0.3, 0.1, seed=1)
+    items = np.arange(1, 12_001)
+    weights = np.ones(items.size, dtype=np.int64)
+    tracemalloc.start()
+    try:
         sk.update_many(items, weights)
-        assert sk.counters.tolist() == _scalar_counters(sk, items, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8_000_000
 
 
 def test_single_cell_unbiasedness():
