@@ -2,7 +2,9 @@
 
 Every command except ``gen`` prints one JSON object with sorted keys, so
 identical invocations give byte-identical output; ``--format human``
-prints the same object indented.  ``gen`` writes a stream file to stdout.
+prints the same object indented.  ``estimate`` prints a run summary, and
+its per-copy records only with ``--diagnostics``.  ``gen`` writes a
+stream file to stdout.
 Exit codes: 0 success, 2 bad input, 3 no sparsifier copy qualified,
 4 internal invariant violation.
 """
@@ -98,7 +100,7 @@ def _cmd_estimate(args):
         )
         # reads and checks the stream chunk by chunk, first violation in file order
         report = estimate_triangles(read_chunks(f, args.n), cfg)
-    payload = report.to_dict()
+    payload = report.to_dict(diagnostics=args.diagnostics)
     payload["config"] = asdict(cfg)
     return payload, 0
 
@@ -283,6 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--k-override", type=int, default=None, help="force the number of copies")
     est.add_argument("--s-override", type=int, default=None, help="force the certification threshold")
     est.add_argument("--colors-override", type=int, default=None, help="force the palette size")
+    est.add_argument("--diagnostics", action="store_true", help="also print one record per copy")
 
     exa = sub.add_parser("exact", help="exact statistics of the final graph")
     exa.add_argument("stream", help="stream file, or - for stdin")

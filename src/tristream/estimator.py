@@ -22,10 +22,19 @@ is a group of its own.  A copy's coloring is a function of its own seed,
 Generator seeded from the estimate's seed and drawn group by group in copy
 order, so a copy's indicator depends on the estimate's seed and the copy
 order rather than on its own seed alone.
+
+The estimate needs only the number of qualified copies and the sum of
+their indicators, so the per-copy results stay columns (``CopyColumns``):
+the copy index as a range and one list per other field.
+``Report.diagnostics`` builds one ``CopyDiagnostic`` per copy from them on
+first access.  ``Report.to_dict(diagnostics=False)`` leaves the per-copy
+list out, and ``Report.summary`` describes the run in a few numbers whose
+size does not grow with K.
 """
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -124,6 +133,20 @@ class CopyDiagnostic(NamedTuple):
     indicator: int | None
 
 
+class CopyColumns(NamedTuple):
+    """The per-copy results, one sequence per ``CopyDiagnostic`` field, in copy order."""
+
+    copy: range
+    seed: list[int]
+    m_prime: list[int]
+    p2_total: list[int]
+    qualified: list[bool]
+    indicator: list[int | None]
+
+    def records(self) -> list[CopyDiagnostic]:
+        return list(map(CopyDiagnostic, *self))
+
+
 @dataclass(frozen=True)
 class Report:
     p2_hat: float
@@ -135,11 +158,37 @@ class Report:
     p: float
     colors: int
     config: EstimatorConfig
-    diagnostics: tuple[CopyDiagnostic, ...]
+    columns: CopyColumns
+    live_edges: int  # edges live at the end of the stream
+    p2_live: int  # exact P2 = sum of C(d,2) over their degrees
     warnings: tuple[str, ...] = field(default=())
 
-    def to_dict(self) -> dict:
+    @cached_property
+    def diagnostics(self) -> tuple[CopyDiagnostic, ...]:
+        """One record per copy, built from ``columns`` on first access."""
+        return tuple(self.columns.records())
+
+    @property
+    def summary(self) -> dict:
+        """The run in a few numbers: how many copies qualified, how much of the
+        graph they kept, the standard errors of the estimates, and the
+        sketch's 2-path count against the exact one.  A report exists only
+        when some copy qualified, so the graph has a 2-path: p2_live > 0.
+        """
+        alpha_se = math.sqrt(self.alpha_hat * (1.0 - self.alpha_hat) / self.ell)
         return {
+            "qualified_rate": self.ell / self.k,
+            "kept_fraction": sum(self.columns.m_prime) / (self.k * self.live_edges),
+            "kept_fraction_expected": 1.0 / self.colors,
+            "alpha_se": alpha_se,
+            "t3_se": alpha_se * self.p2_hat / 3.0,
+            "p2_live": self.p2_live,
+            "p2_rel_error": (self.p2_hat - self.p2_live) / self.p2_live,
+        }
+
+    def to_dict(self, diagnostics: bool = True) -> dict:
+        """The report as plain data; the per-copy list only with ``diagnostics``."""
+        out = {
             "p2_hat": self.p2_hat,
             "alpha_hat": self.alpha_hat,
             "t3_hat": self.t3_hat,
@@ -148,18 +197,16 @@ class Report:
             "s": self.s,
             "p": self.p,
             "colors": self.colors,
-            "diagnostics": [
-                {
-                    "copy": d.copy,
-                    "m_prime": d.m_prime,
-                    "p2_total": d.p2_total,
-                    "qualified": d.qualified,
-                    "indicator": d.indicator,
-                }
-                for d in self.diagnostics
-            ],
+            "summary": self.summary,
             "warnings": list(self.warnings),
         }
+        if diagnostics:
+            c = self.columns
+            out["diagnostics"] = [
+                {"copy": i, "m_prime": m, "p2_total": p2, "qualified": q, "indicator": x}
+                for i, m, p2, q, x in zip(c.copy, c.m_prime, c.p2_total, c.qualified, c.indicator)
+            ]
+        return out
 
 
 class _CopyGraph:
@@ -253,6 +300,8 @@ def estimate_triangles(events, cfg: EstimatorConfig) -> Report:
     # would reach into the sketch past TwoPathEstimator, for about 2% here.
     vertices, ends = np.unique(np.concatenate([us, vs]), return_inverse=True)
     lu, lv = ends[:us.size], ends[us.size:]
+    degrees = np.bincount(ends)
+    p2_live = int((degrees * (degrees - 1) // 2).sum())
     del us, vs
 
     seeds = mix2_array(cfg.seed, np.arange(cfg.k, dtype=np.uint64)).tolist()
@@ -267,15 +316,14 @@ def estimate_triangles(events, cfg: EstimatorConfig) -> Report:
             indicator += g.has_edges(u, w).astype(np.int64).tolist()
         else:
             indicator += [None] * count
-    columns = (range(cfg.k), seeds, m_prime, p2_total, qualified, indicator)
-    diagnostics = list(map(CopyDiagnostic, *columns))
+    columns = CopyColumns(range(cfg.k), seeds, m_prime, p2_total, qualified, indicator)
     ell = sum(qualified)
     x_sum = sum(filter(None, indicator))
 
     if ell == 0:
         raise NoQualifiedCopiesError(
             f"none of the {cfg.k} copies certified {cfg.s} independent 2-paths",
-            diagnostics,
+            columns.records(),
         )
 
     alpha_hat = x_sum / ell
@@ -299,6 +347,8 @@ def estimate_triangles(events, cfg: EstimatorConfig) -> Report:
         p=cfg.p,
         colors=cfg.colors,
         config=cfg,
-        diagnostics=tuple(diagnostics),
+        columns=columns,
+        live_edges=lu.size,
+        p2_live=p2_live,
         warnings=tuple(warnings),
     )

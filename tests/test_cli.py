@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import asdict
@@ -63,7 +64,7 @@ def test_estimate_output_is_byte_identical_across_reruns(tmp_path, capsys):
 
     argv = [
         "estimate", str(path), "--n", "30", "--m-max", "500",
-        "--k-override", "20", "--seed", "5",
+        "--k-override", "20", "--seed", "5", "--diagnostics",
     ]
     code_a, out_a = run_cli(argv, capsys)
     code_b, out_b = run_cli(argv, capsys)
@@ -78,6 +79,33 @@ def test_estimate_output_is_byte_identical_across_reruns(tmp_path, capsys):
     assert payload["config"]["n"] == 30 and payload["config"]["m_max"] == 500
     assert 0.0 <= payload["alpha_hat"] <= 1.0
     assert len(payload["diagnostics"]) == 20
+
+
+def test_estimate_default_output_is_a_summary_whose_size_does_not_grow_with_k(tmp_path, capsys):
+    code, out = run_cli(["gen", "gnp", "30", "0.3", "--seed", "7"], capsys)
+    path = tmp_path / "gnp.txt"
+    path.write_text(out)
+    base = ["estimate", str(path), "--n", "30", "--m-max", "500", "--seed", "5"]
+
+    outs = {}
+    for k in ("20", "2000"):
+        argv = base + ["--k-override", k]
+        code_a, out_a = run_cli(argv, capsys)
+        code_b, out_b = run_cli(argv, capsys)
+        assert code_a == code_b == 0
+        assert out_a == out_b
+        outs[k] = out_a
+        payload = json.loads(out_a)
+        assert "diagnostics" not in payload
+        assert payload["summary"]["qualified_rate"] == 1.0
+        assert payload["summary"]["kept_fraction"] == 1.0
+        code, full = run_cli(argv + ["--diagnostics"], capsys)
+        full = json.loads(full)
+        assert len(full.pop("diagnostics")) == int(k)
+        assert full == payload
+
+    number = re.compile(r"-?\d+(\.\d+)?([eE][-+]?\d+)?")
+    assert number.sub("0", outs["20"]) == number.sub("0", outs["2000"])
 
 
 def test_estimate_exits_3_when_no_copy_qualifies(tmp_path, capsys):
@@ -308,7 +336,7 @@ def test_estimate_over_the_reader_matches_lazy_materialize(tmp_path_factory, cas
     path = tmp_path_factory.getbasetemp() / "stream.txt"
     path.write_text(text)
     argv = ["estimate", str(path), "--n", str(n), "--m-max", str(m_max), "--k-override", "3",
-            "--s-override", "1", "--colors-override", str(colors)]
+            "--s-override", "1", "--colors-override", str(colors), "--diagnostics"]
     with chunk_size(size):
         assert _library_outcome(read_chunks(io.StringIO(text), n), cfg) == want
         with contextlib.redirect_stdout(io.StringIO()) as out:

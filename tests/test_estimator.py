@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import tristream
 from conftest import contract_outcome, random_graph_edges, small_streams
 from tristream.estimator import (
+    CopyDiagnostic,
     InvalidRangeError,
     NoQualifiedCopiesError,
     _CopyGraph,
@@ -30,6 +31,7 @@ from tristream.generators import (
 )
 from tristream.hashing import mix2
 from tristream.indep_paths import csr_from_adj, enumerate_two_paths, greedy_independent_count
+from tristream.oracles import exact_two_paths
 from tristream.sparsifier import ColoringFunction, SparsifiedGraph
 from tristream.stream_core import (
     EdgeEvent,
@@ -169,12 +171,92 @@ def test_report_shape_and_shared_structure():
     payload = report.to_dict()
     assert set(payload) == {
         "p2_hat", "alpha_hat", "t3_hat", "ell", "K", "s", "p", "colors",
-        "diagnostics", "warnings",
+        "diagnostics", "summary", "warnings",
     }
+    assert set(payload["summary"]) == {
+        "qualified_rate", "kept_fraction", "kept_fraction_expected",
+        "alpha_se", "t3_se", "p2_live", "p2_rel_error",
+    }
+    assert set(report.to_dict(diagnostics=False)) == set(payload) - {"diagnostics"}
     assert payload["K"] == 12
     assert set(payload["diagnostics"][0]) == {
         "copy", "m_prime", "p2_total", "qualified", "indicator",
     }
+
+
+@pytest.mark.parametrize("colors", [1, 3])
+def test_diagnostics_are_built_from_the_columns_on_first_access(colors):
+    events = edges_to_events(gnp_edges(30, 0.3, seed=4))
+    cfg = derive_config(n=30, m_max=len(events), k_override=25, s_override=2,
+                        colors_override=colors, seed=8)
+    report = estimate_triangles(events, cfg)
+    assert "diagnostics" not in vars(report)
+    diagnostics = report.diagnostics
+    assert diagnostics is report.diagnostics
+    assert all(type(d) is CopyDiagnostic for d in diagnostics)
+    assert [d.copy for d in diagnostics] == list(range(25))
+    assert report.ell == sum(d.qualified for d in diagnostics)
+    assert report.to_dict()["diagnostics"] == [
+        {"copy": d.copy, "m_prime": d.m_prime, "p2_total": d.p2_total,
+         "qualified": d.qualified, "indicator": d.indicator}
+        for d in diagnostics
+    ]
+
+
+def test_no_qualified_copies_error_holds_copy_records():
+    events = edges_to_events([(1, 2), (2, 3), (3, 4), (4, 5)])
+    cfg = derive_config(n=5, m_max=4, k_override=7, colors_override=2, seed=3)
+    with pytest.raises(NoQualifiedCopiesError) as err:
+        estimate_triangles(events, cfg)
+    diags = err.value.diagnostics
+    assert type(diags) is list and all(type(d) is CopyDiagnostic for d in diags)
+    assert [d.copy for d in diags] == list(range(7))
+    assert all(d.seed == mix2(3, d.copy) and not d.qualified and d.indicator is None
+               for d in diags)
+
+
+@pytest.mark.parametrize("colors", [1, 3])
+def test_summary_p2_live_is_the_exact_two_path_count_of_the_final_graph(colors):
+    events = mixed_update_stream(25, 400, seed=6)
+    final = materialize(events, StreamConfig(n=25, m_max=len(events)))
+    assert final.m < sum(e.sign == 1 for e in events)  # deletions changed the graph
+    cfg = derive_config(n=25, m_max=len(events), k_override=30, s_override=1,
+                        colors_override=colors, seed=2)
+    report = estimate_triangles(events, cfg)
+    summary = report.to_dict()["summary"]
+    assert summary["p2_live"] == exact_two_paths(final) > 0
+    assert summary["p2_rel_error"] == (report.p2_hat - summary["p2_live"]) / summary["p2_live"]
+    assert summary["kept_fraction"] == \
+        sum(d.m_prime for d in report.diagnostics) / (report.k * final.m)
+    assert summary["kept_fraction_expected"] == 1 / colors
+
+
+def test_summary_rates_and_standard_errors():
+    # one color keeps the whole graph in every copy
+    events = edges_to_events(gnp_edges(30, 0.3, seed=1))
+    report = estimate_triangles(events, derive_config(n=30, m_max=len(events), k_override=50,
+                                                      seed=5))
+    summary = report.summary
+    assert report.colors == 1 and summary["kept_fraction"] == 1.0
+    assert 0 < report.alpha_hat < 1
+    a = report.alpha_hat
+    assert summary["alpha_se"] == math.sqrt(a * (1 - a) / report.ell)
+    assert summary["t3_se"] == summary["alpha_se"] * report.p2_hat / 3
+    assert summary["qualified_rate"] == report.ell / report.k == 1.0
+
+    # a lone triangle under two colors: some copies lose it, and alpha_hat = 1
+    events = edges_to_events([(1, 2), (1, 3), (2, 3)])
+    cfg = derive_config(n=3, m_max=3, k_override=40, s_override=1, colors_override=2, seed=2)
+    report = estimate_triangles(events, cfg)
+    assert 0 < report.ell < report.k
+    assert report.summary["qualified_rate"] == report.ell / report.k
+    assert report.alpha_hat == 1.0 and report.summary["alpha_se"] == 0.0
+
+    # a bipartite graph closes no 2-path: alpha_hat = 0
+    events = edges_to_events(complete_bipartite_edges(4, 4))
+    report = estimate_triangles(events, derive_config(n=8, m_max=16, k_override=20, seed=1))
+    assert report.alpha_hat == 0.0
+    assert report.summary["alpha_se"] == 0.0 and report.summary["t3_se"] == 0.0
 
 
 def test_accepts_prebuilt_event_arrays():
