@@ -41,7 +41,7 @@ def _pairs(u: int, v: int, w: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-def greedy_independent_count(indptr, indices, target: int | None = None) -> int:
+def greedy_independent_count(indptr, indices, target: int | None = None, colors=None) -> int:
     """Size of a maximal independent set of 2-paths, built greedily.
 
     The graph comes as CSR adjacency over vertices 0..V-1: row ``v`` is
@@ -52,20 +52,32 @@ def greedy_independent_count(indptr, indices, target: int | None = None) -> int:
     {u, v} is covered no (u, v, w) can be kept, so ``u`` is skipped or its
     scan ends: O(d^2) set lookups at worst per center of degree d, O(d) on
     a star.  Stops early at ``target``.
+
+    With ``colors``, one color per vertex, the count is that of the
+    subgraph of monochromatic edges, in the same order and by the same
+    rule.  A center's row is filtered down to the center's color only when
+    the greedy visits it, so the subgraph's CSR is never built.
     """
     indptr, indices = np.asarray(indptr), np.asarray(indices)
+    color = None if colors is None else np.asarray(colors).tolist()
     covered: set[tuple[int, int]] = set()
     count = 0
     for v in np.flatnonzero(np.diff(indptr) >= 2).tolist():
         ordered = indices[indptr[v]:indptr[v + 1]].tolist()
+        if color is not None:
+            c = color[v]
+            ordered = [x for x in ordered if color[x] == c]
         for i in range(len(ordered) - 1):
             u = ordered[i]
-            if (min(u, v), max(u, v)) in covered:
+            uv = (u, v) if u < v else (v, u)
+            if uv in covered:
                 continue
             for j in range(i + 1, len(ordered)):
-                pairs = _pairs(u, v, ordered[j])
-                if covered.isdisjoint(pairs):
-                    covered.update(pairs)
+                # {u, v} is not covered, and u < w since the row is ascending
+                w = ordered[j]
+                vw = (v, w) if v < w else (w, v)
+                if vw not in covered and (u, w) not in covered:
+                    covered.update((uv, vw, (u, w)))
                     count += 1
                     if target is not None and count >= target:
                         return count

@@ -11,9 +11,9 @@ probability above 1/2.
 
 ``SparsifiedGraph`` is the paper's incremental structure, for streams fed
 event by event.  The estimator does not use it: the estimate depends only
-on the final graph, so ``estimator`` nets the stream once and builds each
-copy from the live edges as a CSR adjacency, colored by the same
-``ColoringFunction``.
+on the final graph, so ``estimator`` nets the stream once, holds the live
+edges as one CSR adjacency, and reads each copy as a coloring of it by the
+same ``ColoringFunction``.
 """
 
 import numpy as np

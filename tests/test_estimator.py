@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 
 import tristream
 from conftest import contract_outcome, random_graph_edges, small_streams
+from tristream import estimator
 from tristream.estimator import (
     CopyDiagnostic,
     InvalidRangeError,
     NoQualifiedCopiesError,
+    _ColoredCopy,
     _CopyGraph,
     derive_config,
     estimate_triangles,
@@ -375,6 +377,105 @@ def test_copy_graph_samples_two_paths_uniformly():
     expected = draws / len(paths)
     chi2 = sum((seen[p] - expected) ** 2 / expected for p in paths)
     assert chi2 < 29.59  # 0.999 quantile of chi-square with 10 degrees of freedom
+
+
+def test_colored_copy_samples_monochromatic_two_paths_uniformly():
+    # the graph of test_copy_graph_samples_two_paths_uniformly on vertices
+    # 1, 2, 3, 5, 6, 7 of color 1, plus edges to vertices 0 and 4 of other
+    # colors, which sit inside the full rows; the copy has P2 = 3+3+3+1+1 = 11
+    kept = [(1, 2), (1, 3), (1, 7), (2, 3), (2, 5), (3, 6), (5, 6)]
+    cross = [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5), (1, 4), (2, 4), (3, 4), (4, 6), (4, 7)]
+    pairs = kept + cross
+    colors = np.array([2, 1, 1, 1, 3, 1, 1, 1], dtype=np.uint64)
+    a, b = (np.array(x) for x in zip(*sorted(pairs)))
+    copy = _ColoredCopy(_CopyGraph(a, b, 8), np.concatenate([a, b]), colors)
+    adj = {x: set() for x in range(8)}
+    for u, w in pairs:
+        if colors[u] == colors[w]:
+            adj[u].add(w)
+            adj[w].add(u)
+    assert copy.m_prime == 7 and copy.p2_total == 11
+    assert copy.degrees.tolist() == [len(adj[x]) for x in range(8)]
+    paths = enumerate_two_paths(adj)
+    draws = 22_000
+    u, c, w = copy.sample_two_paths(np.random.default_rng(8), draws)
+    assert u.shape == c.shape == w.shape == (draws,)
+    seen = Counter(zip(u.tolist(), c.tolist(), w.tolist()))
+    assert set(seen) == set(paths)
+    expected = draws / len(paths)
+    chi2 = sum((seen[p] - expected) ** 2 / expected for p in paths)
+    assert chi2 < 29.59  # 0.999 quantile of chi-square with 10 degrees of freedom
+    same = [x for x in range(8) if colors[x] == 1]
+    qa, qb = np.array([(x, y) for x in same for y in same if x < y]).T
+    assert copy.has_edges(qa, qb).tolist() == [y in adj[x] for x, y in zip(qa, qb)]
+
+
+def _reference_copy_groups(cfg, seeds, vertices, ends):
+    """Several-color copies each built as a CSR of their own kept edges,
+    certified on that CSR; sampling and the closing-edge search then run on
+    it too."""
+    assert cfg.colors > 1
+    m = ends.size // 2
+    lu, lv = ends[:m], ends[m:]
+    for seed_i in seeds:
+        colors = ColoringFunction(seed_i, cfg.colors).colors_of(vertices)
+        keep = colors[lu] == colors[lv]
+        g = _CopyGraph(lu[keep], lv[keep], vertices.size)
+        yield g, greedy_independent_count(g.indptr, g.indices, cfg.s) >= cfg.s, 1
+
+
+def _estimate_outcome(events, cfg):
+    """(columns, to_dict) of the report, or the diagnostics when no copy qualified."""
+    try:
+        report = estimate_triangles(events, cfg)
+    except NoQualifiedCopiesError as err:
+        return err.diagnostics
+    return report.columns, report.to_dict()
+
+
+@pytest.mark.parametrize("colors", [2, 3, 5])
+def test_colored_copies_match_a_csr_per_copy(monkeypatch, colors):
+    verdicts = Counter()
+    for seed in range(8):
+        rng = random.Random(100 * colors + seed)
+        n = rng.randint(20, 40)
+        if seed % 2:
+            events = mixed_update_stream(n, rng.randint(300, 900), seed=seed)
+        else:
+            events, n = with_churn(gnp_edges(n, rng.uniform(0.2, 0.6), seed=seed),
+                                   rng.randint(1, 60), seed=seed, n_base=n)
+        # s near the greedy count of a copy of m/colors edges, so that some
+        # copies qualify and some do not; s = 200 qualifies none
+        m = materialize(events, StreamConfig(n=n, m_max=len(events))).m
+        s = 200 if seed == 7 else max(1, round(m / colors / 3 * rng.uniform(0.5, 1.5)))
+        cfg = derive_config(n=n, m_max=len(events), k_override=rng.randint(20, 40), s_override=s,
+                            colors_override=colors, seed=seed)
+        got = _estimate_outcome(events, cfg)
+        with monkeypatch.context() as mp:
+            mp.setattr(estimator, "_copy_groups", _reference_copy_groups)
+            assert got == _estimate_outcome(events, cfg)
+        if isinstance(got, list):
+            verdicts["none"] += 1
+        else:
+            verdicts.update(got[0].qualified)
+    assert verdicts[True] and verdicts[False] and verdicts["none"]
+
+
+def test_colored_copies_share_one_csr(monkeypatch):
+    built = []
+
+    class Counted(_CopyGraph):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(estimator, "_CopyGraph", Counted)
+    events = edges_to_events(gnp_edges(40, 0.3, seed=3))
+    cfg = derive_config(n=40, m_max=len(events), k_override=20, s_override=2,
+                        colors_override=3, seed=4)
+    report = estimate_triangles(events, cfg)
+    assert report.k == 20 and 0 < report.ell
+    assert len(built) == 1
 
 
 def test_one_color_copies_draw_independently():

@@ -9,7 +9,7 @@ import pytest
 from conftest import adj_dict, adjacency, random_graph_edges
 from tristream import estimator
 from tristream.cli import main
-from tristream.estimator import NoQualifiedCopiesError, derive_config, estimate_triangles
+from tristream.estimator import NoQualifiedCopiesError, _CopyGraph, derive_config, estimate_triangles
 from tristream.generators import (
     complete_bipartite_edges,
     complete_edges,
@@ -89,13 +89,24 @@ def test_greedy_matches_incidence_list_reference():
             assert greedy_independent_count(*csr, target) == _reference_greedy(*csr, target)
 
 
+def _masked_csr(indptr, indices, colors):
+    """The CSR of the monochromatic edges, over the same vertices 0..V-1."""
+    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
+    once = rows < indices  # each edge (a, b) once, sorted by (a, b)
+    a, b = rows[once], indices[once]
+    keep = colors[a] == colors[b]
+    copy = _CopyGraph(a[keep], b[keep], indptr.size - 1)
+    return copy.indptr, copy.indices
+
+
 def test_greedy_matches_reference_on_estimator_copies(monkeypatch):
     verdicts = []
 
-    def checked(indptr, indices, target=None):
+    def checked(indptr, indices, target=None, colors=None):
+        copy = _masked_csr(indptr, indices, colors)
         for t in _TARGETS + (target,):
-            assert greedy_independent_count(indptr, indices, t) == _reference_greedy(indptr, indices, t)
-        count = greedy_independent_count(indptr, indices, target)
+            assert greedy_independent_count(indptr, indices, t, colors) == _reference_greedy(*copy, t)
+        count = greedy_independent_count(indptr, indices, target, colors)
         verdicts.append(count >= target)
         return count
 
@@ -109,6 +120,20 @@ def test_greedy_matches_reference_on_estimator_copies(monkeypatch):
         except NoQualifiedCopiesError:
             pass
     assert len(verdicts) == 48 and True in verdicts and False in verdicts
+
+
+def test_colored_greedy_matches_the_masked_csr():
+    rng = random.Random(606)
+    for _ in range(300):
+        indptr, indices = csr_from_adj(adj_dict(random_graph_edges(rng, n_max=40)[0]))
+        if indptr.size == 1:
+            continue  # no edges, no vertices
+        k = rng.randint(2, 5)
+        colors = np.array([rng.randint(1, k) for _ in range(indptr.size - 1)])
+        copy = _masked_csr(indptr, indices, colors)
+        for target in (None, 1, 3, 7, 20):
+            assert greedy_independent_count(indptr, indices, target, colors) == \
+                greedy_independent_count(*copy, target)
 
 
 def test_assert_independent_is_one_path_per_vertex_pair():
