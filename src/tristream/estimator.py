@@ -5,19 +5,19 @@ netted once: a sorting pass per chunk checks the turnstile contract and
 leaves the edges live at the end.  Those feed a degree sketch (for the
 2-path count; the sketch is linear, so the netted edges give the same
 counters as every event) and K independently seeded colorings.  Each copy
-keeps the monochromatic live edges.  The live edges are held once, as one
-CSR adjacency over the live vertices, and a several-color copy is a
-coloring of it: its edge count and degrees come from one keep mask, and a
-row is filtered to its center's color only where the greedy certification
-or the sampler reads it.  A copy that certifies enough pairwise
-independent 2-paths contributes one indicator: whether a uniformly sampled
-2-path of its graph closes into a triangle.  The mean indicator estimates
-the transitivity alpha, and T3 = alpha * P2 / 3.  A stream with a length
-(a list, or an array triple) is netted as one chunk, so memory is
-O(events) for it.  Any other iterable, such as the chunks of
-``stream_core.read_chunks`` that ``tristream estimate`` passes, is netted
-chunk by chunk in O(m_max + chunk).  On top of that, the shared CSR takes
-O(live edges) and each copy in turn O(live vertices).
+keeps the monochromatic live edges.  The live edges are sorted once into
+one CSR adjacency over the live vertices, and a several-color copy is that
+CSR with each row masked to its center's color: a CSR of its own, built
+without a sort, on which the greedy certification and the sampler run.  A
+copy that certifies enough pairwise independent 2-paths contributes one
+indicator: whether a uniformly sampled 2-path of its graph closes into a
+triangle.  The mean indicator estimates the transitivity alpha, and
+T3 = alpha * P2 / 3.  A stream with a length (a list, or an array triple)
+is netted as one chunk, so memory is O(events) for it.  Any other
+iterable, such as the chunks of ``stream_core.read_chunks`` that
+``tristream estimate`` passes, is netted chunk by chunk in
+O(m_max + chunk).  On top of that, the shared CSR takes O(live edges), and
+so does each several-color copy in turn.
 
 Copies come in groups that share one graph and one verdict: with one color
 all K copies keep the whole graph and form one group, otherwise each copy
@@ -213,59 +213,73 @@ class Report:
         return out
 
 
-def _draw_positions(rng: "np.random.Generator", cum: np.ndarray, degrees: np.ndarray, count: int):
-    """``count`` centers, each with two distinct positions in its row: (c, i, j).
-
-    Each center comes with probability C(d,2)/P2 by inverse CDF over
-    ``cum``, the running sum of C(d,2), then two distinct positions
-    uniformly.  numpy's bounded integers are exactly uniform, so every
-    2-path has probability exactly 1/P2.  Needs P2 = cum[-1] > 0.  The
-    Generator calls, in this order and with these shapes, fix the
-    indicators of a seeded estimate.
-    """
-    c = cum.searchsorted(rng.integers(0, int(cum[-1]), size=count), side="right")
-    d = degrees[c]
-    i = rng.integers(0, d)
-    j = rng.integers(0, d - 1)
-    j += j >= i
-    return c, i, j
-
-
 class _CopyGraph:
-    """The live edges as CSR adjacency over the live vertices.
-
-    All copies read this one graph: with one color each copy keeps it
-    whole, and with more a ``_ColoredCopy`` colors it.
+    """One copy's graph as CSR adjacency over the live vertices.
 
     Vertices are numbered 0..V-1 in id order, so row ``v`` lists its
     neighbors ``indices[indptr[v]:indptr[v+1]]`` in ascending id order,
     ``degrees`` holds the row lengths and ``cum`` the running sum of C(d,2)
-    over the rows, and ``keys``
-    holds each edge (a, b), a < b, as ``a*V + b`` in ascending order.
+    over the rows, and ``keys`` holds each edge (a, b), a < b, of the live
+    graph as ``a*V + b`` in ascending order.
+
+    ``from_edges`` builds the live graph once per estimate; with one color
+    every copy keeps it whole.  ``colored`` cuts a several-color copy out of
+    it: each row masked to its center's color, with the live graph's keys.
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, num_vertices: int):
-        # The pairs come sorted with a < b.  Each edge is listed once from its
-        # larger endpoint, then once from its smaller; a stable sort on the
-        # row then leaves every row ascending.
-        rows = np.concatenate([b, a])
-        self.indices = np.concatenate([a, b])[np.argsort(rows, kind="stable")]
-        self.degrees = degrees = np.bincount(rows, minlength=num_vertices)
-        self.indptr = np.zeros(num_vertices + 1, dtype=np.int64)
-        np.cumsum(degrees, out=self.indptr[1:])
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, keys: np.ndarray):
+        self.indptr, self.indices, self.keys = indptr, indices, keys
+        self.num_vertices = indptr.size - 1
+        self.degrees = degrees = np.diff(indptr)
         self.cum = np.cumsum(degrees * (degrees - 1) // 2)
-        self.keys = a * num_vertices + b  # sorted, as the pairs are
-        self.num_vertices = num_vertices
-        self.m_prime = a.size
-        self.p2_total = int(self.cum[-1]) if num_vertices else 0
+        self.m_prime = indices.size // 2
+        self.p2_total = int(self.cum[-1]) if self.num_vertices else 0
+
+    @classmethod
+    def from_edges(cls, a: np.ndarray, b: np.ndarray, num_vertices: int) -> "_CopyGraph":
+        """The graph of the pairs (a, b), sorted with a < b, over 0..num_vertices-1."""
+        # Each edge is listed once from its larger endpoint, then once from
+        # its smaller; a stable sort on the row then leaves every row ascending.
+        rows = np.concatenate([b, a])
+        indices = np.concatenate([a, b])[np.argsort(rows, kind="stable")]
+        indptr = np.zeros(num_vertices + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=num_vertices), out=indptr[1:])
+        return cls(indptr, indices, a * num_vertices + b)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The row of each entry of ``indices``, built on the first ``colored``."""
+        return np.repeat(np.arange(self.num_vertices), self.degrees)
+
+    def colored(self, colors: np.ndarray) -> "_CopyGraph":
+        """The copy that keeps the edges whose endpoints share a color.
+
+        Both ends of a 2-path of the copy have its center's color, so a pair
+        sampled from the copy is an edge of the copy iff it is an edge of
+        this graph: the copy shares ``keys``.
+        """
+        keep = colors.take(self.indices) == colors.take(self.rows)
+        kept = np.zeros(keep.size + 1, dtype=np.int64)
+        np.cumsum(keep, out=kept[1:])
+        return _CopyGraph(kept[self.indptr], self.indices.take(np.flatnonzero(keep)), self.keys)
 
     def sample_two_paths(
         self, rng: "np.random.Generator", count: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``count`` independent uniform 2-paths as arrays (u, center, w), u < w
-        (``_draw_positions``).  Needs p2_total > 0.
+        """``count`` independent uniform 2-paths as arrays (u, center, w), u < w.
+
+        Each center comes with probability C(d,2)/P2 by inverse CDF over
+        ``cum``, then two distinct positions in its row uniformly.  numpy's
+        bounded integers are exactly uniform, so every 2-path has
+        probability exactly 1/P2.  Needs p2_total > 0.  The Generator calls,
+        in this order and with these shapes, fix the indicators of a seeded
+        estimate.
         """
-        c, i, j = _draw_positions(rng, self.cum, self.degrees, count)
+        c = self.cum.searchsorted(rng.integers(0, self.p2_total, size=count), side="right")
+        d = self.degrees[c]
+        i = rng.integers(0, d)
+        j = rng.integers(0, d - 1)
+        j += j >= i
         lo = self.indptr[c]
         x, y = self.indices[lo + i], self.indices[lo + j]
         return np.minimum(x, y), c, np.maximum(x, y)
@@ -279,72 +293,24 @@ class _CopyGraph:
         return found
 
 
-class _ColoredCopy:
-    """A several-color copy as a coloring of the shared full graph.
-
-    The copy keeps the live edges whose endpoints share a color.  Its edge
-    count and degrees come from that keep mask over ``ends``, the edges'
-    first endpoints followed by their second ones; no CSR of its own is
-    built.  A center's row in the copy is its row in ``graph`` filtered to
-    the center's color, and a pair of vertices of one color is an edge of
-    the copy iff it is an edge of ``graph``.
-    """
-
-    def __init__(self, graph: _CopyGraph, ends: np.ndarray, colors: np.ndarray):
-        m = ends.size // 2
-        ends_colors = colors[ends]
-        keep = ends_colors[:m] == ends_colors[m:]
-        # one weighted count over both endpoint lists; its float sums are exact
-        kept = np.bincount(ends, weights=np.concatenate([keep, keep]), minlength=graph.num_vertices)
-        self.degrees = kept.astype(np.int64)
-        self.c2 = self.degrees * (self.degrees - 1) // 2
-        self.m_prime = int(np.count_nonzero(keep))
-        self.p2_total = int(self.c2.sum())
-        self.graph = graph
-        self.colors = colors
-
-    def sample_two_paths(
-        self, rng: "np.random.Generator", count: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``_CopyGraph.sample_two_paths`` on the copy, with the same draws.
-
-        Only the sampled centers' rows are filtered to their color.
-        """
-        c, i, j = _draw_positions(rng, np.cumsum(self.c2), self.degrees, count)
-        g, colors = self.graph, self.colors
-        x, y = np.empty_like(c), np.empty_like(c)
-        for k, v in enumerate(c.tolist()):
-            row = g.indices[g.indptr[v]:g.indptr[v + 1]]
-            row = row[colors[row] == colors[v]]
-            x[k], y[k] = row[i[k]], row[j[k]]
-        return np.minimum(x, y), c, np.maximum(x, y)
-
-    def has_edges(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Whether each pair (u, w) of one color is an edge: a search in the full graph."""
-        return self.graph.has_edges(u, w)
-
-
-def _copy_groups(
-    cfg, seeds, vertices, ends
-) -> Iterator[tuple["_CopyGraph | _ColoredCopy", bool, int]]:
+def _copy_groups(cfg, seeds, vertices, ends) -> Iterator[tuple[_CopyGraph, bool, int]]:
     """(graph, qualified, count) per group of copies sharing one graph, in copy order.
 
-    Every group reads one CSR of the live edges.  With one color all K
+    Every copy is cut from one CSR of the live edges.  With one color all K
     copies keep it whole and form one group; a one-color group has no
     certification threshold: sampling is exactly uniform on the input
     graph, so any 2-path qualifies it.  With more colors each copy is a
-    group of its own, a ``_ColoredCopy`` of the shared CSR, certified by
-    the greedy on the color-filtered rows it visits.
+    group of its own, the CSR masked to its coloring and certified by the
+    greedy on that copy's own rows.
     """
     m = ends.size // 2
-    g = _CopyGraph(ends[:m], ends[m:], vertices.size)
+    g = _CopyGraph.from_edges(ends[:m], ends[m:], vertices.size)
     if cfg.colors == 1:
         yield g, g.p2_total > 0, cfg.k
         return
     for seed_i in seeds:
-        colors = ColoringFunction(seed_i, cfg.colors).colors_of(vertices)
-        copy = _ColoredCopy(g, ends, colors)
-        yield copy, greedy_independent_count(g.indptr, g.indices, cfg.s, colors) >= cfg.s, 1
+        copy = g.colored(ColoringFunction(seed_i, cfg.colors).colors_of(vertices))
+        yield copy, greedy_independent_count(copy.indptr, copy.indices, cfg.s) >= cfg.s, 1
 
 
 def estimate_triangles(events, cfg: EstimatorConfig) -> Report:

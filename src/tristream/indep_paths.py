@@ -41,7 +41,7 @@ def _pairs(u: int, v: int, w: int) -> tuple[tuple[int, int], ...]:
     )
 
 
-def greedy_independent_count(indptr, indices, target: int | None = None, colors=None) -> int:
+def greedy_independent_count(indptr, indices, target: int | None = None) -> int:
     """Size of a maximal independent set of 2-paths, built greedily.
 
     The graph comes as CSR adjacency over vertices 0..V-1: row ``v`` is
@@ -51,22 +51,15 @@ def greedy_independent_count(indptr, indices, target: int | None = None, colors=
     is kept iff none of its pairs is covered by a selected path.  Once
     {u, v} is covered no (u, v, w) can be kept, so ``u`` is skipped or its
     scan ends: O(d^2) set lookups at worst per center of degree d, O(d) on
-    a star.  Stops early at ``target``.
-
-    With ``colors``, one color per vertex, the count is that of the
-    subgraph of monochromatic edges, in the same order and by the same
-    rule.  A center's row is filtered down to the center's color only when
-    the greedy visits it, so the subgraph's CSR is never built.
+    a star.  Stops early at ``target``.  The estimator passes each
+    several-color copy's own CSR, so only that copy's centers of degree 2
+    or more are visited.
     """
     indptr, indices = np.asarray(indptr), np.asarray(indices)
-    color = None if colors is None else np.asarray(colors).tolist()
     covered: set[tuple[int, int]] = set()
     count = 0
     for v in np.flatnonzero(np.diff(indptr) >= 2).tolist():
         ordered = indices[indptr[v]:indptr[v + 1]].tolist()
-        if color is not None:
-            c = color[v]
-            ordered = [x for x in ordered if color[x] == c]
         for i in range(len(ordered) - 1):
             u = ordered[i]
             uv = (u, v) if u < v else (v, u)

@@ -12,8 +12,8 @@ probability above 1/2.
 ``SparsifiedGraph`` is the paper's incremental structure, for streams fed
 event by event.  The estimator does not use it: the estimate depends only
 on the final graph, so ``estimator`` nets the stream once, holds the live
-edges as one CSR adjacency, and reads each copy as a coloring of it by the
-same ``ColoringFunction``.
+edges as one CSR adjacency, and builds each copy as that CSR with every row
+masked to its center's color under the same ``ColoringFunction``.
 """
 
 import numpy as np

@@ -257,13 +257,6 @@ def net_chunks(chunks, cfg: StreamConfig) -> tuple[np.ndarray, np.ndarray]:
     return live // base, live % base
 
 
-def net_events(
-    us: np.ndarray, vs: np.ndarray, signs: np.ndarray, cfg: StreamConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """``net_chunks`` of one chunk: the whole event array checked in one sorting pass."""
-    return net_chunks([(us, vs, signs)], cfg)
-
-
 # ---------------------------------------------------------------------------
 # text format
 

@@ -18,7 +18,6 @@ from tristream.estimator import (
     CopyDiagnostic,
     InvalidRangeError,
     NoQualifiedCopiesError,
-    _ColoredCopy,
     _CopyGraph,
     derive_config,
     estimate_triangles,
@@ -29,6 +28,7 @@ from tristream.generators import (
     edges_to_events,
     gnp_edges,
     mixed_update_stream,
+    planted_cluster_edges,
     with_churn,
 )
 from tristream.hashing import mix2
@@ -359,7 +359,7 @@ def test_copy_graph_samples_two_paths_uniformly():
     # Vertex 6, the highest, has an empty row, so a query such as (4, 6) lies
     # above the last edge key and its search ends past the keys.
     pairs = [(0, 1), (0, 2), (0, 5), (1, 2), (1, 3), (2, 4), (3, 4)]
-    g = _CopyGraph(np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]), 7)
+    g = _CopyGraph.from_edges(np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]), 7)
     adj = {x: set() for x in range(7)}
     for a, b in pairs:
         adj[a].add(b)
@@ -388,13 +388,17 @@ def test_colored_copy_samples_monochromatic_two_paths_uniformly():
     pairs = kept + cross
     colors = np.array([2, 1, 1, 1, 3, 1, 1, 1], dtype=np.uint64)
     a, b = (np.array(x) for x in zip(*sorted(pairs)))
-    copy = _ColoredCopy(_CopyGraph(a, b, 8), np.concatenate([a, b]), colors)
+    copy = _CopyGraph.from_edges(a, b, 8).colored(colors)
+    keep = colors[a] == colors[b]
+    want = _CopyGraph.from_edges(a[keep], b[keep], 8)
+    for name in ("indptr", "indices", "degrees"):
+        assert np.array_equal(getattr(copy, name), getattr(want, name)), name
+    assert (copy.m_prime, copy.p2_total) == (want.m_prime, want.p2_total) == (7, 11)
     adj = {x: set() for x in range(8)}
     for u, w in pairs:
         if colors[u] == colors[w]:
             adj[u].add(w)
             adj[w].add(u)
-    assert copy.m_prime == 7 and copy.p2_total == 11
     assert copy.degrees.tolist() == [len(adj[x]) for x in range(8)]
     paths = enumerate_two_paths(adj)
     draws = 22_000
@@ -420,7 +424,7 @@ def _reference_copy_groups(cfg, seeds, vertices, ends):
     for seed_i in seeds:
         colors = ColoringFunction(seed_i, cfg.colors).colors_of(vertices)
         keep = colors[lu] == colors[lv]
-        g = _CopyGraph(lu[keep], lv[keep], vertices.size)
+        g = _CopyGraph.from_edges(lu[keep], lv[keep], vertices.size)
         yield g, greedy_independent_count(g.indptr, g.indices, cfg.s) >= cfg.s, 1
 
 
@@ -465,9 +469,10 @@ def test_colored_copies_share_one_csr(monkeypatch):
     built = []
 
     class Counted(_CopyGraph):
-        def __init__(self, *args):
+        @classmethod
+        def from_edges(cls, *args):
             built.append(args)
-            super().__init__(*args)
+            return super().from_edges(*args)
 
     monkeypatch.setattr(estimator, "_CopyGraph", Counted)
     events = edges_to_events(gnp_edges(40, 0.3, seed=3))
@@ -476,6 +481,21 @@ def test_colored_copies_share_one_csr(monkeypatch):
     report = estimate_triangles(events, cfg)
     assert report.k == 20 and 0 < report.ell
     assert len(built) == 1
+
+
+def test_four_color_report_is_frozen():
+    # a scaled-down criterion 09 graph; s = 35 sits inside the spread of the
+    # copies' greedy counts, so some copies qualify and some do not
+    edges, n = planted_cluster_edges(160, 480)
+    cfg = derive_config(n=n, m_max=len(edges), k_override=50, s_override=35,
+                        colors_override=4, seed=9)
+    report = estimate_triangles(edges_to_events(edges), cfg)
+    assert (report.ell, report.alpha_hat, report.p2_hat) == (36, 14 / 36, 960.0)
+    assert [tuple(d[2:]) for d in report.diagnostics[:10]] == [
+        (362, 61, True, 1), (365, 58, True, 0), (359, 61, True, 1), (386, 76, True, 0),
+        (361, 52, True, 0), (352, 43, False, None), (364, 49, False, None),
+        (337, 54, False, None), (392, 77, True, 1), (362, 49, False, None),
+    ]
 
 
 def test_one_color_copies_draw_independently():

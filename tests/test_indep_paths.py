@@ -20,6 +20,7 @@ from tristream.generators import (
     star_edges,
     with_churn,
 )
+from tristream.hashing import mix2
 from tristream.indep_paths import (
     BudgetExceededError,
     HasIsolatedEdgesError,
@@ -32,7 +33,8 @@ from tristream.indep_paths import (
     spanning_tree_two_paths,
     verify_lower_bounds,
 )
-from tristream.stream_core import write_stream
+from tristream.sparsifier import ColoringFunction
+from tristream.stream_core import StreamConfig, materialize, write_stream
 
 
 def test_enumerate_counts_match_degree_formula():
@@ -89,24 +91,30 @@ def test_greedy_matches_incidence_list_reference():
             assert greedy_independent_count(*csr, target) == _reference_greedy(*csr, target)
 
 
-def _masked_csr(indptr, indices, colors):
-    """The CSR of the monochromatic edges, over the same vertices 0..V-1."""
-    rows = np.repeat(np.arange(indptr.size - 1), np.diff(indptr))
-    once = rows < indices  # each edge (a, b) once, sorted by (a, b)
-    a, b = rows[once], indices[once]
-    keep = colors[a] == colors[b]
-    copy = _CopyGraph(a[keep], b[keep], indptr.size - 1)
-    return copy.indptr, copy.indices
+def _kept_copies(events, cfg):
+    """Each several-color copy of an estimate, built from its own kept edges:
+    the final graph renumbered 0..V-1 in id order, colored by the copy's seed."""
+    graph = materialize(events, StreamConfig(n=cfg.n, m_max=cfg.m_max))
+    a, b = (np.array(x, dtype=np.uint64) for x in zip(*sorted(graph.edges())))
+    vertices = np.unique(np.concatenate([a, b]))
+    a, b = vertices.searchsorted(a), vertices.searchsorted(b)
+    for copy in range(cfg.k):
+        colors = ColoringFunction(mix2(cfg.seed, copy), cfg.colors).colors_of(vertices)
+        keep = colors[a] == colors[b]
+        yield _CopyGraph.from_edges(a[keep], b[keep], vertices.size)
 
 
 def test_greedy_matches_reference_on_estimator_copies(monkeypatch):
     verdicts = []
+    copies = iter(())
 
-    def checked(indptr, indices, target=None, colors=None):
-        copy = _masked_csr(indptr, indices, colors)
+    def checked(indptr, indices, target=None):
+        # the greedy gets the copy's own CSR, so it visits only the copy's centers
+        want = next(copies)
+        assert np.array_equal(indptr, want.indptr) and np.array_equal(indices, want.indices)
         for t in _TARGETS + (target,):
-            assert greedy_independent_count(indptr, indices, t, colors) == _reference_greedy(*copy, t)
-        count = greedy_independent_count(indptr, indices, target, colors)
+            assert greedy_independent_count(indptr, indices, t) == _reference_greedy(indptr, indices, t)
+        count = greedy_independent_count(indptr, indices, target)
         verdicts.append(count >= target)
         return count
 
@@ -115,25 +123,13 @@ def test_greedy_matches_reference_on_estimator_copies(monkeypatch):
         events, n = with_churn(gnp_edges(40, 0.3, seed=seed), 30, seed=seed, n_base=40)
         cfg = derive_config(n=n, m_max=len(events), k_override=8, s_override=3 + 4 * seed,
                             colors_override=2 + seed % 3, seed=seed)
+        copies = _kept_copies(events, cfg)
         try:
             estimate_triangles(events, cfg)
         except NoQualifiedCopiesError:
             pass
+        assert next(copies, None) is None
     assert len(verdicts) == 48 and True in verdicts and False in verdicts
-
-
-def test_colored_greedy_matches_the_masked_csr():
-    rng = random.Random(606)
-    for _ in range(300):
-        indptr, indices = csr_from_adj(adj_dict(random_graph_edges(rng, n_max=40)[0]))
-        if indptr.size == 1:
-            continue  # no edges, no vertices
-        k = rng.randint(2, 5)
-        colors = np.array([rng.randint(1, k) for _ in range(indptr.size - 1)])
-        copy = _masked_csr(indptr, indices, colors)
-        for target in (None, 1, 3, 7, 20):
-            assert greedy_independent_count(indptr, indices, target, colors) == \
-                greedy_independent_count(*copy, target)
 
 
 def test_assert_independent_is_one_path_per_vertex_pair():

@@ -22,7 +22,6 @@ from tristream.stream_core import (
     format_event,
     materialize,
     net_chunks,
-    net_events,
     normalize_event,
     read_chunks,
     read_stream,
@@ -147,7 +146,7 @@ def test_net_events_agrees_with_materialize(case):
     graphs = []
     want = contract_outcome(lambda: graphs.append(materialize(events, cfg)))
     nets = []
-    got = contract_outcome(lambda: nets.append(net_events(*events_to_arrays(events), cfg)))
+    got = contract_outcome(lambda: nets.append(net_chunks([events_to_arrays(events)], cfg)))
     assert got == want
     if want is None:
         us, vs = nets[0]
@@ -175,15 +174,15 @@ def test_net_events_reports_the_first_violation_of_any_kind():
     for raw, kind, index in cases:
         arrays = events_to_arrays([EdgeEvent(*t) for t in raw])
         with pytest.raises(kind, match=f"^event {index}: "):
-            net_events(*arrays, cfg)
+            net_chunks([arrays], cfg)
 
 
 def test_net_events_nets_churn_to_the_final_edges():
     cfg = StreamConfig(n=9, m_max=3)
     raw = [(1, 2, 1), (4, 5, 1), (1, 2, -1), (2, 9, 1), (1, 2, 1), (4, 5, -1)]
-    us, vs = net_events(*events_to_arrays([EdgeEvent(*t) for t in raw]), cfg)
+    us, vs = net_chunks([events_to_arrays([EdgeEvent(*t) for t in raw])], cfg)
     assert us.dtype == np.uint64 and list(zip(us.tolist(), vs.tolist())) == [(1, 2), (2, 9)]
-    us, vs = net_events(*events_to_arrays([]), cfg)
+    us, vs = net_chunks([events_to_arrays([])], cfg)
     assert us.size == 0 and vs.size == 0
 
 
@@ -196,7 +195,7 @@ def test_net_chunks_agrees_with_net_events_at_every_chunk_size(case, size):
     chunks = [(us[i:i + size], vs[i:i + size], signs[i:i + size])
               for i in range(0, us.size, size)]
     whole, cut = [], []
-    want = contract_outcome(lambda: whole.append(net_events(us, vs, signs, cfg)))
+    want = contract_outcome(lambda: whole.append(net_chunks([(us, vs, signs)], cfg)))
     assert contract_outcome(lambda: cut.append(net_chunks(chunks, cfg))) == want
     if want is None:
         assert all(np.array_equal(a, b) and b.dtype == np.uint64 for a, b in zip(*whole, *cut))
