@@ -4,7 +4,10 @@ Every command except ``gen`` prints one JSON object with sorted keys, so
 identical invocations give byte-identical output; ``--format human``
 prints the same object indented.  ``estimate`` prints a run summary, and
 its per-copy records only with ``--diagnostics``.  ``gen`` writes a
-stream file to stdout.
+stream file to stdout.  The four commands that read a stream file read
+and check it chunk by chunk (``read_chunks`` into ``net_chunks``), so they
+report the first violation in file order, with the same error, and hold
+only the live edges and one chunk.
 Exit codes: 0 success, 2 bad input, 3 no sparsifier copy qualified,
 4 internal invariant violation.
 """
@@ -15,8 +18,6 @@ import json
 import random
 import sys
 from dataclasses import asdict
-
-import numpy as np
 
 from . import __version__
 from .baselines import DoulionCounter
@@ -39,7 +40,6 @@ from .stream_core import (
     EdgeEvent,
     StreamConfig,
     StreamError,
-    events_to_arrays,
     net_chunks,
     read_chunks,
     write_stream,
@@ -47,6 +47,9 @@ from .stream_core import (
 
 # Unused here, but bench/spans.py wraps these names on this module.
 from .stream_core import materialize, read_stream  # noqa: F401
+
+# The largest vertex id whose edge key u*(n+1) + v fits in 64 bits.
+_MAX_ID = 2**32 - 1
 
 
 def _open_stream(path: str):
@@ -56,28 +59,35 @@ def _open_stream(path: str):
     return open(path, encoding="utf-8")
 
 
-def _final_graph(path: str, n: int | None) -> tuple[AdjacencyGraph, int]:
-    """The graph live at the end of a stream file, and its universe size.
+def _live_edges(path: str, n: int | None) -> tuple[list[tuple[int, int]], int]:
+    """The edges live at the end of a stream file, sorted, and the universe to echo.
 
-    The whole file is parsed, and a text error reported, before the
-    contract check, whose universe is ``n`` or else the largest endpoint;
-    the parsed chunks are held until then.  The live edges are inserted in
-    the order of their last event, as a replay of the stream inserts them,
-    so the adjacency sets iterate as the replayed ones do.
+    The file is read and checked chunk by chunk, as ``estimate`` reads it:
+    the first violation in file order is reported, and memory is
+    O(live edges + chunk).  The universe is ``n``, or else ``_MAX_ID``, with
+    no capacity bound.  The echo is ``n``, or else the largest endpoint
+    read (at least 2).
     """
+    universe = n if n is not None else _MAX_ID
+    top = 2
+
+    def tracked(chunks):
+        nonlocal top
+        for chunk in chunks:
+            top = max(top, int(chunk[1].max()))
+            yield chunk
+
     with _open_stream(path) as f:
-        chunks = list(read_chunks(f, n))
-    us, vs, signs = (np.concatenate(a) for a in zip(*chunks)) if chunks else events_to_arrays([])
-    if n is None:
-        n = int(vs.max(initial=2))
-    net_chunks(chunks, StreamConfig(n=n, m_max=max(1, us.size)))
-    del chunks
-    # a valid stream's edge is live at the end iff its last event inserts it
-    _, from_end = np.unique((us * np.uint64(n + 1) + vs)[::-1], return_index=True)
-    last = us.size - 1 - from_end
-    last = np.sort(last[signs[last] == 1])
+        chunks = tracked(read_chunks(f, universe))
+        us, vs = net_chunks(chunks, StreamConfig(n=universe, m_max=sys.maxsize))
+    return list(zip(us.tolist(), vs.tolist())), (n if n is not None else top)
+
+
+def _final_graph(path: str, n: int | None) -> tuple[AdjacencyGraph, int]:
+    """The graph live at the end of a stream file, and the universe to echo."""
+    edges, n = _live_edges(path, n)
     graph = AdjacencyGraph()
-    for u, v in zip(us[last].tolist(), vs[last].tolist()):
+    for u, v in edges:
         graph.insert(u, v)
     return graph, n
 
@@ -216,9 +226,9 @@ def _cmd_doulion(args):
         raise ValueError(f"--p must be in (0, 1], got {args.p}")
     if args.trials < 1:
         raise ValueError(f"--trials must be positive, got {args.trials}")
-    graph, n = _final_graph(args.stream, args.n)
+    edges, n = _live_edges(args.stream, args.n)
     # the coin is a hash of the edge, so the final live edges keep the same graph
-    live = [EdgeEvent(u, v, 1) for u, v in graph.edges()]
+    live = [EdgeEvent(u, v, 1) for u, v in edges]
     estimates = []
     for t in range(args.trials):
         counter = DoulionCounter(n, args.p, seed=mix2(args.seed, t))

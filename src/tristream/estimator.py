@@ -293,18 +293,16 @@ class _CopyGraph:
         return found
 
 
-def _copy_groups(cfg, seeds, vertices, ends) -> Iterator[tuple[_CopyGraph, bool, int]]:
+def _copy_groups(cfg, seeds, vertices, g: _CopyGraph) -> Iterator[tuple[_CopyGraph, bool, int]]:
     """(graph, qualified, count) per group of copies sharing one graph, in copy order.
 
-    Every copy is cut from one CSR of the live edges.  With one color all K
-    copies keep it whole and form one group; a one-color group has no
-    certification threshold: sampling is exactly uniform on the input
-    graph, so any 2-path qualifies it.  With more colors each copy is a
-    group of its own, the CSR masked to its coloring and certified by the
-    greedy on that copy's own rows.
+    Every copy is cut from ``g``, the one CSR of the live edges over
+    ``vertices``.  With one color all K copies keep it whole and form one
+    group; a one-color group has no certification threshold: sampling is
+    exactly uniform on the input graph, so any 2-path qualifies it.  With
+    more colors each copy is a group of its own, the CSR masked to its
+    coloring and certified by the greedy on that copy's own rows.
     """
-    m = ends.size // 2
-    g = _CopyGraph.from_edges(ends[:m], ends[m:], vertices.size)
     if cfg.colors == 1:
         yield g, g.p2_total > 0, cfg.k
         return
@@ -334,21 +332,19 @@ def estimate_triangles(events, cfg: EstimatorConfig) -> Report:
     # update_many above sorts the same endpoints once more; sharing that sort
     # would reach into the sketch past TwoPathEstimator, for about 2% here.
     vertices, ends = np.unique(np.concatenate([us, vs]), return_inverse=True)
-    lu, lv = ends[:us.size], ends[us.size:]
-    degrees = np.bincount(ends)
-    p2_live = int((degrees * (degrees - 1) // 2).sum())
-    del us, vs
+    g = _CopyGraph.from_edges(ends[:us.size], ends[us.size:], vertices.size)
+    del us, vs, ends
 
     seeds = mix2_array(cfg.seed, np.arange(cfg.k, dtype=np.uint64)).tolist()
     rng = np.random.default_rng(mix2(cfg.seed, _SAMPLE_TAG))
     m_prime, p2_total, qualified, indicator = [], [], [], []
-    for g, ok, count in _copy_groups(cfg, seeds, vertices, ends):
-        m_prime += [g.m_prime] * count
-        p2_total += [g.p2_total] * count
+    for copy, ok, count in _copy_groups(cfg, seeds, vertices, g):
+        m_prime += [copy.m_prime] * count
+        p2_total += [copy.p2_total] * count
         qualified += [ok] * count
         if ok:
-            u, _, w = g.sample_two_paths(rng, count)
-            indicator += g.has_edges(u, w).astype(np.int64).tolist()
+            u, _, w = copy.sample_two_paths(rng, count)
+            indicator += copy.has_edges(u, w).astype(np.int64).tolist()
         else:
             indicator += [None] * count
     columns = CopyColumns(range(cfg.k), seeds, m_prime, p2_total, qualified, indicator)
@@ -383,7 +379,7 @@ def estimate_triangles(events, cfg: EstimatorConfig) -> Report:
         colors=cfg.colors,
         config=cfg,
         columns=columns,
-        live_edges=lu.size,
-        p2_live=p2_live,
+        live_edges=g.m_prime,
+        p2_live=g.p2_total,
         warnings=tuple(warnings),
     )

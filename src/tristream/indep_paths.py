@@ -142,7 +142,9 @@ def spanning_tree_two_paths(adj: dict[int, set[int]]) -> list[TwoPath]:
     parent v: pair u with a sibling leaf w (removing u and w) when one
     exists, otherwise with v's parent w (removing u and v).  Every round
     consumes two vertices and emits one 2-path, and any two emitted paths
-    share at most the one retained vertex.
+    share at most the one retained vertex.  The BFS is rooted at the
+    smallest id and visits each neighbor set in ascending order, so the
+    paths depend on the graph alone, not on the order of its sets.
     """
     if not adj:
         return []
@@ -153,7 +155,7 @@ def spanning_tree_two_paths(adj: dict[int, set[int]]) -> list[TwoPath]:
     order = deque([root])
     while order:
         x = order.popleft()
-        for y in adj[x]:
+        for y in sorted(adj[x]):
             if y not in depth:
                 depth[y] = depth[x] + 1
                 parent[y] = x
@@ -162,11 +164,10 @@ def spanning_tree_two_paths(adj: dict[int, set[int]]) -> list[TwoPath]:
     if len(depth) != len(adj):
         raise NotConnectedError("graph is not connected")
 
-    # Each child list stays sorted and its dead entries are skipped lazily:
-    # first[v] indexes the smallest child of v that may still be alive, and
-    # left[v] counts v's alive children.
-    for kids in children.values():
-        kids.sort()
+    # Each child list is sorted, as the BFS appends children in ascending
+    # order, and its dead entries are skipped lazily: first[v] indexes the
+    # smallest child of v that may still be alive, and left[v] counts v's
+    # alive children.
     first = dict.fromkeys(adj, 0)
     left = {v: len(kids) for v, kids in children.items()}
     alive = set(adj)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -245,33 +246,36 @@ def test_estimate_reports_the_first_violation_in_file_order(tmp_path, capsys):
     # the duplicate insert on line 3 comes before the bad line 4
     path = tmp_path / "mixed.txt"
     path.write_text("+ 1 2\n+ 2 3\n+ 1 2\nbogus\n")
-    code, out = run_cli(["estimate", str(path), "--n", "5", "--m-max", "4"], capsys)
-    assert code == 2
-    assert json.loads(out)["error"] == {"type": "DuplicateInsertError",
-                                        "message": "event 2: edge (1, 2) already live"}
-    # exact, doulion and verify-lemmas parse the whole file first
-    for argv in (["exact", str(path)], ["doulion", str(path), "--p", "0.5"],
-                 ["verify-lemmas", str(path)]):
+    want = {"type": "DuplicateInsertError", "message": "event 2: edge (1, 2) already live"}
+    # every command that reads a stream file checks it chunk by chunk
+    for argv in (["estimate", str(path), "--n", "5", "--m-max", "4"], ["exact", str(path)],
+                 ["doulion", str(path), "--p", "0.5"], ["verify-lemmas", str(path)]):
         code, out = run_cli(argv, capsys)
         assert code == 2
-        assert json.loads(out)["error"]["line"] == 4
+        assert json.loads(out)["error"] == want
 
 
-@pytest.mark.parametrize("line, kind", [
-    ("+ 1 99999999999", "ValueError"),  # above 2^32: no 64-bit edge key
-    ("+ 1 99999999999999999999", "OverflowError"),  # above 2^63: no int64
+@pytest.mark.parametrize("line", [
+    "+ 1 99999999999",  # above 2^32: no 64-bit edge key
+    "+ 1 99999999999999999999",  # above 2^63: no int64
 ])
-def test_exact_rejects_vertex_ids_beyond_the_edge_keys(tmp_path, capsys, line, kind):
+def test_exact_rejects_vertex_ids_beyond_the_edge_keys(tmp_path, capsys, line):
     path = tmp_path / "big.txt"
     path.write_text(line + "\n")
-    code, out = run_cli(["exact", str(path)], capsys)
-    assert code == 2
-    assert json.loads(out)["error"]["type"] == kind
+    want = {"type": "OutOfUniverseError", "line": 1,
+            "message": f"line 1: endpoint outside [1, {2**32 - 1}]: {tuple(map(int, line.split()[1:]))}"}
+    for argv in (["exact", str(path)], ["doulion", str(path), "--p", "0.5"],
+                 ["verify-lemmas", str(path)],
+                 ["estimate", str(path), "--n", str(2**32 - 1), "--m-max", "4"]):
+        code, out = run_cli(argv, capsys)
+        assert code == 2
+        assert json.loads(out)["error"] == want
 
 
 def test_file_commands_match_materialize_on_churned_streams(tmp_path, capsys):
     # a sparse graph with shuffled inserts, so that the adjacency sets of a
-    # replay iterate in an order other than sorted
+    # replay iterate in an order other than sorted, which the witnesses of
+    # verify-lemmas must not follow
     events, n = with_churn(gnp_edges(400, 0.02, seed=9), 300, seed=9, n_base=400)
     path = tmp_path / "churn.txt"
     with open(path, "w") as f:
@@ -279,14 +283,43 @@ def test_file_commands_match_materialize_on_churned_streams(tmp_path, capsys):
     ref = materialize(events, StreamConfig(n=n, m_max=len(events)))
     graph, got_n = cli._final_graph(str(path), None)
     assert got_n == n
-    assert list(graph.adj) == list(ref.adj)
-    assert all(list(graph.adj[x]) == list(ref.adj[x]) for x in ref.adj)
+    assert graph.adj == ref.adj and graph.m == ref.m
+    assert set(graph.edges()) == set(ref.edges())
 
     code, out = run_cli(["exact", str(path)], capsys)
     stats = graph_stats(ref)
     assert code == 0 and json.loads(out)["t3"] == stats.t3 and json.loads(out)["p2"] == stats.p2
     code, out = run_cli(["verify-lemmas", str(path)], capsys)
     assert json.loads(out)["report"] == asdict(verify_lower_bounds(ref.adj))
+
+
+def _toggled_stream(path, edges, toggles):
+    """``edges`` inserted, then ``toggles`` decoy edges each inserted and at
+    once deleted, so that at most one edge more than ``edges`` is ever live."""
+    top = max(v for _, v in edges)
+    with open(path, "w") as f:
+        f.writelines(f"+ {u} {v}\n" for u, v in edges)
+        for i in range(toggles):
+            u = top + 1 + i % 500
+            f.write(f"+ {u} {u + 500}\n- {u} {u + 500}\n")
+
+
+def test_final_graph_memory_does_not_grow_with_stream_length(tmp_path):
+    edges = sorted(gnp_edges(200, 0.0453, seed=5))[:900]
+    peaks = []
+    for toggles in (20_000, 80_000):
+        path = tmp_path / f"toggled-{toggles}.txt"
+        _toggled_stream(path, edges, toggles)
+        with chunk_size(1024):
+            tracemalloc.start()
+            try:
+                graph, _ = cli._final_graph(str(path), None)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert sorted(graph.edges()) == edges
+    # about 41k and 161k events; holding the parsed events would quadruple the peak
+    assert peaks[1] < 1.25 * peaks[0], peaks
 
 
 MALFORMED_LINES = ["+3 7", "+ 1 2 3", "* 1 2", "+ a 2", "+ 1 123456789012345678901", "# note", ""]
@@ -346,3 +379,28 @@ def test_estimate_over_the_reader_matches_lazy_materialize(tmp_path_factory, cas
         assert payload["error"] == want
     else:
         assert {k: payload[k] for k in want} == want
+
+
+_STREAM_ERRORS = {kind.__name__ for kind in StreamError.__subclasses__()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(text_streams(), st.sampled_from((1, 2, 3)))
+def test_file_commands_reject_streams_as_estimate_does(tmp_path_factory, case, size):
+    _, _, text = case
+    path = tmp_path_factory.getbasetemp() / "stream.txt"
+    path.write_text(text)
+    outcomes = []
+    # estimate with a universe and a capacity that do not bind
+    for argv in (["estimate", "--n", str(2**32 - 1), "--m-max", "1000", "--k-override", "1",
+                  "--s-override", "1"],
+                 ["exact"], ["doulion", "--p", "0.5"], ["verify-lemmas"]):
+        with chunk_size(size), contextlib.redirect_stdout(io.StringIO()) as out:
+            main([*argv, str(path)])
+        outcomes.append(json.loads(out.getvalue()).get("error"))
+    want = outcomes[0] if outcomes[0] and outcomes[0]["type"] in _STREAM_ERRORS else None
+    for got in outcomes[1:]:
+        if want is None:
+            assert got is None or got["type"] not in _STREAM_ERRORS
+        else:
+            assert got == want

@@ -414,13 +414,12 @@ def test_colored_copy_samples_monochromatic_two_paths_uniformly():
     assert copy.has_edges(qa, qb).tolist() == [y in adj[x] for x, y in zip(qa, qb)]
 
 
-def _reference_copy_groups(cfg, seeds, vertices, ends):
+def _reference_copy_groups(cfg, seeds, vertices, g):
     """Several-color copies each built as a CSR of their own kept edges,
     certified on that CSR; sampling and the closing-edge search then run on
-    it too."""
+    it too.  The live edges are read back from the keys of the shared CSR."""
     assert cfg.colors > 1
-    m = ends.size // 2
-    lu, lv = ends[:m], ends[m:]
+    lu, lv = g.keys // vertices.size, g.keys % vertices.size
     for seed_i in seeds:
         colors = ColoringFunction(seed_i, cfg.colors).colors_of(vertices)
         keep = colors[lu] == colors[lv]

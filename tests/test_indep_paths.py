@@ -196,7 +196,8 @@ def test_spanning_tree_witness_meets_floor():
 
 def _reference_spanning_tree(adj):
     """Reference construction: rebuilds ``children[v] - {u}`` and takes its
-    min every round, which is quadratic at a hub."""
+    min every round, which is quadratic at a hub.  The BFS visits each
+    neighbor set in ascending order, as the implementation does."""
     root = min(adj)
     parent = {root: 0}
     depth = {root: 0}
@@ -204,7 +205,7 @@ def _reference_spanning_tree(adj):
     order = deque([root])
     while order:
         x = order.popleft()
-        for y in adj[x]:
+        for y in sorted(adj[x]):
             if y not in depth:
                 depth[y] = depth[x] + 1
                 parent[y] = x
@@ -258,6 +259,24 @@ def test_spanning_tree_matches_reference():
         adj = adj_dict(sorted(edges))
         assert spanning_tree_two_paths(adj) == _reference_spanning_tree(adj)
         checked += 1
+
+
+def test_spanning_tree_does_not_depend_on_insertion_order():
+    rng = random.Random(23)
+    reordered = 0
+    for _ in range(20):
+        # a random tree over 400 ids plus sparse extra edges: neighbor sets of
+        # ids this large iterate in an order that follows insertion
+        edges = {(rng.randint(1, v - 1), v) for v in range(2, 401)}
+        edges.update(gnp_edges(400, 0.02, seed=rng.randrange(2**32)))
+        ordered = adj_dict(sorted(edges))
+        shuffled_edges = list(edges)
+        rng.shuffle(shuffled_edges)
+        shuffled = adj_dict(shuffled_edges)
+        assert ordered == shuffled
+        reordered += any(list(ordered[x]) != list(shuffled[x]) for x in ordered)
+        assert spanning_tree_two_paths(shuffled) == spanning_tree_two_paths(ordered)
+    assert reordered == 20
 
 
 def test_spanning_tree_is_fast_at_a_hub():
