@@ -5,9 +5,11 @@ survives whole with probability 1/colors^2.  The surviving subgraph is held
 in degree-class buckets: bucket i stores vertices whose 2-path count
 C(d,2) lies in [2^i, 2^(i+1)-1], vertices of degree 1 carry no 2-path
 mass and hold no slot, and isolated vertices are evicted.  Updates are O(1)
-per endpoint;
-drawing a uniform 2-path costs O(log n) expected per draw with acceptance
-probability above 1/2.
+per endpoint.  Drawing a uniform 2-path costs O(log n + d) per call, d the
+accepted center's degree: each call rebuilds the class weights and copies
+the center's neighbor set, and a draw is accepted with probability above
+1/2.  On a star that measured about 10 us per call at hub degree 100 and
+610 us at degree 50,000 (Python 3.11, one core of a shared 2-CPU host).
 
 ``SparsifiedGraph`` is the paper's incremental structure, for streams fed
 event by event.  The estimator does not use it: the estimate depends only
@@ -19,7 +21,7 @@ masked to its center's color under the same ``ColoringFunction``.
 import numpy as np
 
 from .hashing import mix2, mix2_array
-from .stream_core import DuplicateInsertError
+from .stream_core import DuplicateInsertError, LoopEdgeError, StreamFormatError
 
 
 class InconsistentDeleteError(ValueError):
@@ -64,9 +66,9 @@ class SparsifiedGraph:
     The bucket follows from the degree, so only the slot position is stored
     per vertex.  Degree-1 vertices carry no 2-path mass and hold no slot;
     ``degree_one`` lists them on demand.  ``p2_bucket`` tracks the
-    per-bucket totals of C(d,2) and ``p2_total`` their sum.  Both ingest
-    paths reject an endpoint outside [1, n] with ``ValueError`` before any
-    state changes.
+    per-bucket totals of C(d,2) and ``p2_total`` their sum.  Every event
+    goes through ``apply_events``; ``apply`` is that call on a one-event
+    block.
     """
 
     def __init__(self, n: int, coloring: ColoringFunction):
@@ -86,127 +88,99 @@ class SparsifiedGraph:
         self.sample_draws = 0
         self.samples = 0
 
-    # -- bucket plumbing ----------------------------------------------------
-
     @property
     def degree_one(self) -> list[int]:
         """Live vertices of degree 1; a view derived from ``adj``, O(|adj|)."""
         return [x for x, s in self.adj.items() if len(s) == 1]
 
-    def _move(self, x: int, b_old: int | None, b_new: int | None) -> None:
-        """Move ``x`` between buckets; None stands for holding no slot."""
-        pos = self._pos
-        if b_old is not None:
-            arr = self.buckets[b_old]
-            last = arr.pop()
-            if last != x:
-                i = pos[x]
-                arr[i] = last
-                pos[last] = i
-        if b_new is None:
-            del pos[x]
-        else:
-            arr = self.buckets[b_new]
-            pos[x] = len(arr)
-            arr.append(x)
-
     # -- updates ------------------------------------------------------------
 
     def apply(self, u: int, v: int, sign: int) -> bool:
-        """Apply one normalized edge event; returns False for bichromatic no-ops."""
-        if not (0 < u <= self.n and 0 < v <= self.n):
-            raise ValueError(f"endpoint outside universe [1, {self.n}]")
-        coloring = self.coloring
-        if coloring.colors > 1 and coloring.color(u) != coloring.color(v):
-            return False
-        self._apply_kept(u, v, sign)
-        return True
+        """Apply one edge event; returns False for a bichromatic no-op.
 
-    def _apply_kept(self, u: int, v: int, sign: int) -> None:
-        """Update for an edge already known monochromatic.
-
-        This is the hot loop of the whole estimator.  A degree moves class
-        only when C(d,2) crosses a power of two, so most updates touch just
-        the per-bucket totals; a class move is one swap-remove and append.
+        Each call pays the fixed cost of a numpy block, tens of
+        microseconds, so feed streams to ``apply_events``.
         """
-        adj = self.adj
-        if sign == 1:
-            su = adj.get(u)
-            if su is not None and v in su:
-                raise DuplicateInsertError(f"edge ({u}, {v}) already in the sparsified graph")
-            self.p2_total += self._grow(u, v, su) + self._grow(v, u, adj.get(v))
-            self.m_prime += 1
-        else:
-            su = adj.get(u)
-            if su is None or v not in su:
-                raise InconsistentDeleteError(f"edge ({u}, {v}) not in the sparsified graph")
-            self.p2_total -= self._shrink(u, v, su) + self._shrink(v, u, adj[v])
-            self.m_prime -= 1
-
-    def _grow(self, x: int, y: int, s: set[int] | None) -> int:
-        """Add neighbour ``y`` to ``x`` (neighbour set ``s``); returns the C(d,2) gain."""
-        if s is None:
-            self.adj[x] = {y}
-            return 0
-        s.add(y)
-        d = len(s)
-        c_new = d * (d - 1) >> 1
-        b_new = c_new.bit_length() - 1
-        p2b = self.p2_bucket
-        if d == 2:
-            b_old = None  # out of the slotless degree-1 spillover
-        else:
-            c_old = c_new - d + 1
-            b_old = c_old.bit_length() - 1
-            if b_old == b_new:
-                p2b[b_new] += d - 1
-                return d - 1
-            p2b[b_old] -= c_old
-        p2b[b_new] += c_new
-        self._move(x, b_old, b_new)
-        return d - 1
-
-    def _shrink(self, x: int, y: int, s: set[int]) -> int:
-        """Remove neighbour ``y`` from ``x``; returns the C(d,2) loss."""
-        s.remove(y)
-        d = len(s)
-        c_old = (d + 1) * d >> 1
-        p2b = self.p2_bucket
-        if d >= 2:
-            c_new = c_old - d
-            b_old = c_old.bit_length() - 1
-            b_new = c_new.bit_length() - 1
-            if b_old == b_new:
-                p2b[b_new] -= d
-                return d
-            p2b[b_old] -= c_old
-            p2b[b_new] += c_new
-        elif d == 1:
-            b_old, b_new = 0, None  # back to the spillover; drops its C(2,2)=1
-            p2b[0] -= 1
-        else:
-            del self.adj[x]
-            return 0
-        self._move(x, b_old, b_new)
-        return d
+        return self.apply_events(np.array([u]), np.array([v]), np.array([sign])) == 1
 
     def apply_events(self, us: np.ndarray, vs: np.ndarray, signs: np.ndarray) -> int:
-        """Filter a whole event block by color, then apply the survivors.
+        """Apply a block of edge events in order; returns how many were kept.
 
-        Same per-event semantics as ``apply``; returns the number applied.
+        A malformed block (arrays of different lengths, an endpoint outside
+        [1, n], a self-loop or a sign other than +1 and -1) raises
+        ``ValueError`` before any state changes.  Bichromatic events are
+        dropped.  A kept event that inserts a present edge or deletes an
+        absent one raises, with the events before it applied.
+
+        An endpoint's degree moves from d - sign to d, and its class from
+        floor(log2(C(d - sign, 2))) to floor(log2(C(d, 2))), where class -1
+        (degree below 2) holds no slot.  A class change is one swap-remove
+        and one append; otherwise only that class's total moves.
         """
-        if us.size and (min(us.min(), vs.min()) < 1 or max(us.max(), vs.max()) > self.n):
-            raise ValueError(f"endpoint outside universe [1, {self.n}]")
+        if not len(us) == len(vs) == len(signs):
+            raise ValueError(f"event arrays differ in length: {len(us)}, {len(vs)}, {len(signs)}")
+        if us.size:
+            if min(us.min(), vs.min()) < 1 or max(us.max(), vs.max()) > self.n:
+                raise ValueError(f"endpoint outside universe [1, {self.n}]")
+            loops = np.flatnonzero(us == vs)
+            if loops.size:
+                raise LoopEdgeError(f"self-loop at vertex {us[loops[0]]}")
+            bad = np.flatnonzero((signs != 1) & (signs != -1))
+            if bad.size:
+                raise StreamFormatError(f"sign must be +1 or -1, got {signs[bad[0]]}")
         if self.coloring.colors > 1:
             keep = np.flatnonzero(
                 self.coloring.colors_of(us) == self.coloring.colors_of(vs)
             )
-            if keep.size == 0:
-                return 0
             us, vs, signs = us[keep], vs[keep], signs[keep]
-        kept = self._apply_kept
-        for u, v, s in zip(us.tolist(), vs.tolist(), signs.tolist()):
-            kept(u, v, s)
+        adj, pos, buckets, p2b = self.adj, self._pos, self.buckets, self.p2_bucket
+        p2_total, m_prime = self.p2_total, self.m_prime
+        try:
+            for u, v, s in zip(us.tolist(), vs.tolist(), signs.tolist()):
+                su = adj.get(u)
+                if s == 1:
+                    if su is not None and v in su:
+                        raise DuplicateInsertError(f"edge ({u}, {v}) already in the sparsified graph")
+                elif su is None or v not in su:
+                    raise InconsistentDeleteError(f"edge ({u}, {v}) not in the sparsified graph")
+                m_prime += s
+                for x, y, nbrs in ((u, v, su), (v, u, adj.get(v))):
+                    # degree 0 to 1 and back stays in class -1 and moves no total
+                    if nbrs is None:
+                        adj[x] = {y}
+                        continue
+                    if s == 1:
+                        nbrs.add(y)
+                    else:
+                        nbrs.remove(y)
+                    d = len(nbrs)
+                    if d == 0:
+                        del adj[x]
+                        continue
+                    c_new = d * (d - 1) >> 1
+                    c_old = (d - s) * (d - s - 1) >> 1
+                    b_new = c_new.bit_length() - 1
+                    b_old = c_old.bit_length() - 1
+                    p2_total += c_new - c_old
+                    if b_old == b_new:
+                        p2b[b_new] += c_new - c_old
+                        continue
+                    if b_old >= 0:
+                        arr = buckets[b_old]
+                        last = arr.pop()
+                        if last != x:
+                            pos[last] = i = pos[x]
+                            arr[i] = last
+                        p2b[b_old] -= c_old
+                    if b_new >= 0:
+                        arr = buckets[b_new]
+                        pos[x] = len(arr)
+                        arr.append(x)
+                        p2b[b_new] += c_new
+                    else:
+                        del pos[x]
+        finally:
+            self.p2_total, self.m_prime = p2_total, m_prime
         return len(us)
 
     # -- queries ------------------------------------------------------------

@@ -1,3 +1,4 @@
+import copy
 import random
 from collections import Counter
 
@@ -10,6 +11,27 @@ from tristream.hashing import mix2
 from tristream.indep_paths import enumerate_two_paths
 from tristream.sparsifier import ColoringFunction, InconsistentDeleteError, SparsifiedGraph
 from tristream.stream_core import DuplicateInsertError, events_to_arrays
+
+
+def _block(triples):
+    us, vs, signs = zip(*triples)
+    return (np.array(us, dtype=np.uint64), np.array(vs, dtype=np.uint64),
+            np.array(signs, dtype=np.int64))
+
+
+def _state(g):
+    """Everything an update moves, with each bucket's slot order."""
+    return (g.adj, [list(b) for b in g.buckets], g._pos, g.p2_bucket, g.p2_total, g.m_prime)
+
+
+def _rebuilt(g):
+    """A fresh graph holding ``g``'s edges, inserted in sorted order."""
+    fresh = SparsifiedGraph(g.n, g.coloring)
+    for u in sorted(g.adj):
+        for v in sorted(g.adj[u]):
+            if u < v:
+                fresh.apply(u, v, 1)
+    return fresh
 
 
 def test_coloring_range_and_determinism():
@@ -74,6 +96,25 @@ def test_degree_classes_small_path():
     assert g.p2_total == 3
     g.audit()
 
+    # a star centre grows from degree 0 to 70 and shrinks back, crossing
+    # every class boundary 0..11 (C(70,2) = 2415) once each way
+    g = SparsifiedGraph(80, ColoringFunction(0, 1))
+    grow = [(1, leaf, 1) for leaf in range(2, 72)]
+    shrink = [(1, leaf, -1) for leaf in range(71, 1, -1)]
+    for steps in (grow, shrink):
+        classes = []
+        for u, v, sign in steps:
+            g.apply(u, v, sign)
+            g.audit()
+            assert g.p2_bucket == _rebuilt(g).p2_bucket
+            d = g.degree(1)
+            if d >= 2:
+                b = (d * (d - 1) // 2).bit_length() - 1
+                assert g.buckets[b][g._pos[1]] == 1
+                classes.append(b)
+        assert sorted(set(classes)) == list(range(12))
+    assert not g.adj and not g._pos and not any(g.buckets) and g.p2_total == 0
+
 
 def test_apply_events_equals_scalar_loop():
     for seed in range(12):
@@ -104,11 +145,7 @@ def test_incremental_state_matches_rebuild():
         g = SparsifiedGraph(n, ColoringFunction(seed, 2))
         for e in events:
             g.apply(e.u, e.v, e.sign)
-        fresh = SparsifiedGraph(n, ColoringFunction(seed, 2))
-        for u in sorted(g.adj):
-            for v in sorted(g.adj[u]):
-                if u < v:
-                    fresh.apply(u, v, 1)
+        fresh = _rebuilt(g)
         assert fresh.adj == g.adj
         assert fresh.p2_bucket == g.p2_bucket and fresh.p2_total == g.p2_total
         assert fresh.m_prime == g.m_prime
@@ -181,6 +218,10 @@ def test_apply_events_rejects_out_of_universe():
             with pytest.raises(ValueError):
                 g.apply_events(np.array([u], dtype=np.uint64), np.array([v], dtype=np.uint64),
                                np.array([1], dtype=np.int64))
+        # ids no uint64 holds reach ``apply`` too
+        for u, v in ((2**70, 5), (-1, 5)):
+            with pytest.raises(ValueError):
+                g.apply(u, v, 1)
         assert not g.adj and g.m_prime == 0
         # the universe's own ends are accepted by both
         g.apply(1, 10, 1)
@@ -237,3 +278,66 @@ def test_large_universe_short_block_stays_small():
     tracemalloc.stop()
     assert peak < 1 << 20
     g.audit()
+
+
+def test_apply_events_rejects_malformed_blocks():
+    # a self-loop, a sign other than +1 and -1, or arrays of different
+    # lengths raise ValueError before any event of the block is applied
+    for colors in (1, 3):
+        g = SparsifiedGraph(12, ColoringFunction(5, colors))
+        pairs = [(u, v) for u in range(1, 13) for v in range(u + 1, 13)
+                 if g.coloring.monochromatic(u, v)]
+        (a, b), (c, d) = pairs[:2]
+        g.apply_events(*_block([(a, b, 1), (c, d, 1)]))
+        before = copy.deepcopy(_state(g))
+        blocks = [
+            [(3, 3, 1)],
+            [(a, b, -1), (4, 4, -1)],
+            [(a, b, 0)],
+            [(c, d, -1), (a, b, 2)],
+            [(a, b, -2)],
+        ]
+        for triples in blocks:
+            with pytest.raises(ValueError):
+                g.apply_events(*_block(triples))
+            assert _state(g) == before
+        us, vs, signs = _block([(a, b, -1), (c, d, -1)])
+        for cut in ((us[:1], vs, signs), (us, vs[:1], signs), (us, vs, signs[:1])):
+            with pytest.raises(ValueError):
+                g.apply_events(*cut)
+            assert _state(g) == before
+        for u, v, sign in ((3, 3, 1), (a, b, 0), (a, b, 2)):
+            with pytest.raises(ValueError):
+                g.apply(u, v, sign)
+            assert _state(g) == before
+        g.audit()
+
+
+def test_block_failing_part_way_keeps_its_prefix():
+    # event i of a block inserts a kept edge again, or deletes a kept pair
+    # that is absent: events 0..i-1 stay applied, exactly as if fed alone
+    for seed in range(6):
+        n, colors = 30, 1 + seed % 3
+        events = mixed_update_stream(n, 400, seed=seed)
+        us, vs, signs = events_to_arrays(events)
+        coloring = ColoringFunction(seed + 50, colors)
+        for i in (0, 1, 137, 399):
+            prefix = SparsifiedGraph(n, coloring)
+            prefix.apply_events(us[:i], vs[:i], signs[:i])
+            live = sorted((u, v) for u in prefix.adj for v in prefix.adj[u] if u < v)
+            absent = next((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                          if coloring.monochromatic(u, v) and not prefix.has_edge(u, v))
+            bad = [(absent, -1, InconsistentDeleteError, "not in the sparsified graph")]
+            if live:
+                bad.append((live[len(live) // 2], 1, DuplicateInsertError,
+                            "already in the sparsified graph"))
+            for (u, v), sign, kind, words in bad:
+                g = SparsifiedGraph(n, coloring)
+                block = (np.append(us[:i], np.uint64(u)), np.append(vs[:i], np.uint64(v)),
+                         np.append(signs[:i], sign))
+                with pytest.raises(kind) as info:
+                    g.apply_events(*block)
+                assert type(info.value) is kind
+                assert str(info.value) == f"edge ({u}, {v}) {words}"
+                g.audit()
+                assert _state(g) == _state(prefix)
