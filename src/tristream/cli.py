@@ -39,7 +39,6 @@ from .stream_core import (
     AdjacencyGraph,
     EdgeEvent,
     StreamConfig,
-    StreamError,
     net_chunks,
     read_chunks,
     write_stream,
@@ -117,19 +116,7 @@ def _cmd_estimate(args):
 
 def _cmd_exact(args):
     graph, n = _final_graph(args.stream, args.n)
-    stats = graph_stats(graph)
-    return (
-        {
-            "config": {"n": n},
-            "t3": stats.t3,
-            "p2": stats.p2,
-            "f2": stats.f2,
-            "m": stats.m,
-            "n_touched": stats.n_touched,
-            "alpha": stats.alpha,
-        },
-        0,
-    )
+    return {"config": {"n": n}, **asdict(graph_stats(graph))}, 0
 
 
 def _family_edges(family: str, params: list[str], seed: int):
@@ -198,6 +185,8 @@ def _sweep_fixture(rng: random.Random):
 
 def _cmd_verify(args):
     if args.sweep is not None:
+        if args.stream is not None:
+            raise ValueError("verify-lemmas takes a stream file or --sweep, not both")
         if args.sweep < 1:
             raise ValueError(f"--sweep must be positive, got {args.sweep}")
         rng = random.Random(args.seed)
@@ -332,8 +321,6 @@ def main(argv=None) -> int:
         payload, code = _HANDLERS[args.command](args)
     except NoQualifiedCopiesError as err:
         return _fail(args, err, 3)
-    except StreamError as err:
-        return _fail(args, err, 2)
     except (ValueError, OverflowError, OSError) as err:
         return _fail(args, err, 2)
     except RuntimeError as err:

@@ -43,7 +43,8 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .hashing import mix2, mix2_array
+from .f2_sketch import sketch_dims
+from .hashing import MERSENNE_PRIMES, mix2, mix2_array
 from .indep_paths import greedy_independent_count
 from .sparsifier import ColoringFunction
 from .stream_core import StreamConfig, event_chunks, events_to_arrays, net_chunks
@@ -113,6 +114,10 @@ def derive_config(
     for name, val in (("k", k_override), ("s", s_override), ("colors", colors_override)):
         if val is not None and val < 1:
             raise InvalidRangeError(f"{name}_override must be positive, got {val}")
+    _, cols = sketch_dims(epsilon, delta)
+    top = MERSENNE_PRIMES[-1][1]  # the sketch hashes ids and columns modulo a prime above both
+    if max(n, cols) >= top:
+        raise InvalidRangeError(f"n={n} and the sketch's {cols} columns must be below {top}")
     b = m_max // 18
     p = 1.0 if b == 0 else min(1.0, 5.0 / (epsilon * math.sqrt(b)))
     colors = colors_override if colors_override is not None else max(1, math.floor(1.0 / p + 0.5))

@@ -8,11 +8,11 @@ certifies a lower bound on the maximum; the exact search is reserved for
 tiny instances and backs the tests.  ``verify_lower_bounds`` checks a
 graph against the structural floors used to size the sampling threshold:
 ceil(|V|/2)-1 for connected graphs, floor(m/9) for connected bipartite
-graphs, floor(m/18) in general.
+graphs, floor(m/18) in general.  It walks one BFS spanning tree: pairing
+its vertices bottom-up meets the ceil(|V|/2)-1 floor exactly, and its depth
+parities decide bipartiteness.
 """
 
-import heapq
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,81 +135,57 @@ def max_independent_two_paths(adj: dict[int, set[int]], budget: int = 24) -> int
     return best
 
 
-def spanning_tree_two_paths(adj: dict[int, set[int]]) -> list[TwoPath]:
-    """Constructive independent set of size >= ceil(n/2) - 1 (connected input).
+def _bfs_tree(adj: dict[int, set[int]]) -> tuple[list[int], dict[int, int]]:
+    """A BFS spanning tree as (visit order, parent of each vertex).
 
-    Root a BFS spanning tree, then repeatedly take a deepest leaf u with
-    parent v: pair u with a sibling leaf w (removing u and w) when one
-    exists, otherwise with v's parent w (removing u and v).  Every round
-    consumes two vertices and emits one 2-path, and any two emitted paths
-    share at most the one retained vertex.  The BFS is rooted at the
-    smallest id and visits each neighbor set in ascending order, so the
-    paths depend on the graph alone, not on the order of its sets.
+    The root is the smallest id and its own parent.  Each neighbor set is
+    visited in ascending order, so the tree depends on the graph alone, not
+    on the order of its sets.
     """
-    if not adj:
-        return []
     root = min(adj)
-    parent: dict[int, int] = {root: 0}
-    depth = {root: 0}
-    children: dict[int, list[int]] = {v: [] for v in adj}
-    order = deque([root])
-    while order:
-        x = order.popleft()
+    parent = {root: root}
+    order = [root]
+    for x in order:  # grows as it is walked: a FIFO queue
         for y in sorted(adj[x]):
-            if y not in depth:
-                depth[y] = depth[x] + 1
+            if y not in parent:
                 parent[y] = x
-                children[x].append(y)
                 order.append(y)
-    if len(depth) != len(adj):
+    if len(order) != len(adj):
         raise NotConnectedError("graph is not connected")
+    return order, parent
 
-    # Each child list is sorted, as the BFS appends children in ascending
-    # order, and its dead entries are skipped lazily: first[v] indexes the
-    # smallest child of v that may still be alive, and left[v] counts v's
-    # alive children.
-    first = dict.fromkeys(adj, 0)
-    left = {v: len(kids) for v, kids in children.items()}
-    alive = set(adj)
-    heap = [(-depth[v], v) for v in adj if not children[v]]
-    heapq.heapify(heap)
+
+def _tree_two_paths(order: list[int], parent: dict[int, int]) -> list[TwoPath]:
+    """Independent 2-paths of a BFS tree, paired bottom-up.
+
+    Deeper vertices come first in reversed BFS order.  Each vertex v pairs
+    its unpaired children two at a time as (a, v, b).  A child c left over
+    gives (c, v, parent(v)), which uses up v as well; otherwise v joins its
+    parent's unpaired children.  Every path uses up two vertices, and at
+    most the root and one child are left, so there are (n-1)//2 paths.
+    """
+    root = order[0]
+    unpaired: dict[int, list[int]] = {v: [] for v in order}
     paths: list[TwoPath] = []
-    while len(alive) >= 3 and heap:
-        _, u = heapq.heappop(heap)
-        if u not in alive or left[u] or u == root:
-            continue
-        v = parent[u]
-        if left[v] > 1:
-            # the smallest alive child of v other than u; the deepest-leaf
-            # rule makes every sibling a leaf
-            kids, i = children[v], first[v]
-            while kids[i] not in alive:
-                i += 1
-            first[v] = i
-            if kids[i] == u:
-                i += 1
-                while kids[i] not in alive:
-                    i += 1
-            w = kids[i]
-            paths.append((min(u, w), v, max(u, w)))
-            alive.discard(u)
-            alive.discard(w)
-            left[v] -= 2
-            if not left[v]:
-                heapq.heappush(heap, (-depth[v], v))
-        else:
-            if v == root:
-                break  # only root and u left on this branch
-            w = parent[v]
-            a, b = sorted((u, w))
-            paths.append((a, v, b))
-            alive.discard(u)
-            alive.discard(v)
-            left[w] -= 1
-            if not left[w]:
-                heapq.heappush(heap, (-depth[w], w))
+    for v in reversed(order):
+        kids = unpaired.pop(v)
+        if len(kids) % 2 and v != root:
+            kids.append(parent[v])  # (c, v, parent(v)) uses up v too
+        elif v != root:
+            unpaired[parent[v]].append(v)
+        for a, b in zip(kids[::2], kids[1::2]):
+            paths.append((a, v, b) if a < b else (b, v, a))
     _assert_independent(paths)
     return paths
+
+
+def spanning_tree_two_paths(adj: dict[int, set[int]]) -> list[TwoPath]:
+    """Constructive independent set of size ceil(n/2) - 1 (connected input).
+
+    The bottom-up pairing of ``_tree_two_paths`` over the BFS tree of
+    ``_bfs_tree``; any two of its paths share at most one vertex.
+    """
+    return _tree_two_paths(*_bfs_tree(adj)) if adj else []
 
 
 def _assert_independent(paths: list[TwoPath]) -> None:
@@ -220,23 +196,6 @@ def _assert_independent(paths: list[TwoPath]) -> None:
             j = owner.setdefault(pair, i)
             if j != i:
                 raise RuntimeError(f"paths {(j, i)} share two vertices")
-
-
-def _bfs_parity(adj: dict[int, set[int]], start: int) -> tuple[dict[int, int], bool]:
-    """Depth parity of each vertex reached from ``start``, and whether no
-    edge among them joins two vertices of equal parity (bipartite)."""
-    side = {start: 0}
-    bipartite = True
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in side:
-                side[y] = side[x] ^ 1
-                queue.append(y)
-            elif side[y] == side[x]:
-                bipartite = False
-    return side, bipartite
 
 
 @dataclass(frozen=True)
@@ -262,18 +221,21 @@ def verify_lower_bounds(adj: dict[int, set[int]]) -> LowerBoundReport:
     """
     if not adj:
         raise NotConnectedError("empty graph")
-    side, bipartite = _bfs_parity(adj, next(iter(adj)))
-    if len(side) != len(adj):
-        raise NotConnectedError("graph is not connected")
+    order, parent = _bfs_tree(adj)
     for u, nbrs in adj.items():
         if len(nbrs) == 1:
             v = next(iter(nbrs))
             if len(adj[v]) == 1:
                 raise HasIsolatedEdgesError(f"edge ({u}, {v}) is an isolated edge")
+    # depth parity down the tree; bipartite iff every edge joins opposite parities
+    side = {order[0]: 0}
+    for v in order[1:]:
+        side[v] = side[parent[v]] ^ 1
+    bipartite = all(side[u] != side[w] for u, nbrs in adj.items() for w in nbrs)
     n = len(adj)
     m = sum(len(s) for s in adj.values()) // 2
     greedy = greedy_independent_count(*csr_from_adj(adj))
-    tree_witness = len(spanning_tree_two_paths(adj))
+    tree_witness = len(_tree_two_paths(order, parent))
     # greedy builds a maximal set, which meets the m/9 and m/18 floors on
     # its own; the ceil(n/2)-1 floor needs the spanning-tree construction.
     best = max(greedy, tree_witness)

@@ -198,6 +198,14 @@ def test_verify_lemmas_file_and_sweep_modes(tmp_path, capsys):
     assert payload["fixtures"] == 10 and payload["violations"] == 0
 
 
+def test_verify_lemmas_rejects_a_file_with_sweep(tmp_path, capsys):
+    for path in (tmp_path / "absent.txt", "-"):
+        code, out = run_cli(["verify-lemmas", str(path), "--sweep", "2"], capsys)
+        assert code == 2
+        assert json.loads(out)["error"] == {
+            "type": "ValueError", "message": "verify-lemmas takes a stream file or --sweep, not both"}
+
+
 def test_gen_rejects_bad_parameters(capsys):
     code, out = run_cli(["gen", "complete"], capsys)
     assert code == 2
@@ -255,6 +263,10 @@ def test_estimate_reports_the_first_violation_in_file_order(tmp_path, capsys):
         assert json.loads(out)["error"] == want
 
 
+# estimate's largest universe, and the file commands' universe without --n
+_UNIVERSES = (f"[1, {2**31 - 2}]", f"[1, {2**32 - 1}]")
+
+
 @pytest.mark.parametrize("line", [
     "+ 1 99999999999",  # above 2^32: no 64-bit edge key
     "+ 1 99999999999999999999",  # above 2^63: no int64
@@ -265,11 +277,31 @@ def test_exact_rejects_vertex_ids_beyond_the_edge_keys(tmp_path, capsys, line):
     want = {"type": "OutOfUniverseError", "line": 1,
             "message": f"line 1: endpoint outside [1, {2**32 - 1}]: {tuple(map(int, line.split()[1:]))}"}
     for argv in (["exact", str(path)], ["doulion", str(path), "--p", "0.5"],
-                 ["verify-lemmas", str(path)],
-                 ["estimate", str(path), "--n", str(2**32 - 1), "--m-max", "4"]):
+                 ["verify-lemmas", str(path)]):
         code, out = run_cli(argv, capsys)
         assert code == 2
         assert json.loads(out)["error"] == want
+    # estimate's sketch takes ids up to 2^31-2, so at that universe the id is
+    # outside it, and a universe of 2^32-1 is a parameter error
+    code, out = run_cli(["estimate", str(path), "--n", str(2**31 - 2), "--m-max", "4"], capsys)
+    assert code == 2
+    got = json.loads(out)["error"]
+    assert {**got, "message": got["message"].replace(*_UNIVERSES)} == want
+    code, out = run_cli(["estimate", str(path), "--n", str(2**32 - 1), "--m-max", "4"], capsys)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "InvalidRangeError"
+
+
+def test_estimate_rejects_a_universe_the_sketch_cannot_hash_before_the_stream(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("+ 1 1\n")  # a loop on line 1
+    code, out = run_cli(["estimate", str(path), "--n", str(2**31 - 1), "--m-max", "10"], capsys)
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "InvalidRangeError" and "line" not in error
+    code, out = run_cli(["estimate", str(path), "--n", str(2**31 - 2), "--m-max", "10"], capsys)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "LoopEdgeError"
 
 
 def test_file_commands_match_materialize_on_churned_streams(tmp_path, capsys):
@@ -391,14 +423,17 @@ def test_file_commands_reject_streams_as_estimate_does(tmp_path_factory, case, s
     path = tmp_path_factory.getbasetemp() / "stream.txt"
     path.write_text(text)
     outcomes = []
-    # estimate with a universe and a capacity that do not bind
-    for argv in (["estimate", "--n", str(2**32 - 1), "--m-max", "1000", "--k-override", "1",
+    # estimate with the largest universe its sketch takes and a capacity that
+    # do not bind; an id outside it is outside the file commands' universe too
+    for argv in (["estimate", "--n", str(2**31 - 2), "--m-max", "1000", "--k-override", "1",
                   "--s-override", "1"],
                  ["exact"], ["doulion", "--p", "0.5"], ["verify-lemmas"]):
         with chunk_size(size), contextlib.redirect_stdout(io.StringIO()) as out:
             main([*argv, str(path)])
         outcomes.append(json.loads(out.getvalue()).get("error"))
     want = outcomes[0] if outcomes[0] and outcomes[0]["type"] in _STREAM_ERRORS else None
+    if want is not None:  # the file commands name their own universe
+        want = {**want, "message": want["message"].replace(*_UNIVERSES)}
     for got in outcomes[1:]:
         if want is None:
             assert got is None or got["type"] not in _STREAM_ERRORS

@@ -43,6 +43,7 @@ from tristream.stream_core import (
     events_to_arrays,
     materialize,
 )
+from tristream.two_path import TwoPathEstimator
 
 
 def test_derive_config_frozen_examples():
@@ -81,6 +82,15 @@ def test_derive_config_validation():
     for kwargs in bad:
         with pytest.raises(InvalidRangeError):
             derive_config(**kwargs)
+
+
+def test_derive_config_rejects_universes_the_sketch_cannot_hash():
+    # the sketch hashes ids and columns modulo 2^31 - 1, its largest prime
+    for kwargs in (dict(n=2**31 - 1), dict(n=2**31), dict(n=10, epsilon=3e-4)):
+        with pytest.raises(InvalidRangeError, match="must be below 2147483647"):
+            derive_config(m_max=10, **kwargs)
+    cfg = derive_config(n=2**31 - 2, m_max=10)
+    assert TwoPathEstimator(cfg.n, cfg.epsilon, cfg.delta).sketch.prime == 2**31 - 1
 
 
 def test_overrides_win():

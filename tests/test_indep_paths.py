@@ -1,7 +1,5 @@
-import heapq
 import random
 import time
-from collections import deque
 
 import numpy as np
 import pytest
@@ -194,71 +192,61 @@ def test_spanning_tree_witness_meets_floor():
             assert c in adj[u] and c in adj[w]
 
 
-def _reference_spanning_tree(adj):
-    """Reference construction: rebuilds ``children[v] - {u}`` and takes its
-    min every round, which is quadratic at a hub.  The BFS visits each
-    neighbor set in ascending order, as the implementation does."""
-    root = min(adj)
-    parent = {root: 0}
-    depth = {root: 0}
-    children = {v: set() for v in adj}
-    order = deque([root])
-    while order:
-        x = order.popleft()
-        for y in sorted(adj[x]):
-            if y not in depth:
-                depth[y] = depth[x] + 1
-                parent[y] = x
-                children[x].add(y)
-                order.append(y)
-    alive = set(adj)
-    heap = [(-depth[v], v) for v in adj if not children[v]]
-    heapq.heapify(heap)
-    paths = []
-    while len(alive) >= 3 and heap:
-        _, u = heapq.heappop(heap)
-        if u not in alive or children[u] or u == root:
-            continue
-        v = parent[u]
-        siblings = children[v] - {u}
-        if siblings:
-            w = min(siblings)
-            paths.append((min(u, w), v, max(u, w)))
-            alive.discard(u)
-            alive.discard(w)
-            children[v] -= {u, w}
-            if not children[v]:
-                heapq.heappush(heap, (-depth[v], v))
-        else:
-            if v == root:
-                break
-            w = parent[v]
-            a, b = sorted((u, w))
-            paths.append((a, v, b))
-            alive.discard(u)
-            alive.discard(v)
-            children[w].discard(v)
-            if not children[w]:
-                heapq.heappush(heap, (-depth[w], w))
-    return paths
+def _spans(edges, n):
+    """Whether the edges connect all of the vertices 1..n."""
+    adj = adj_dict(edges)
+    seen, todo = set(), [1]
+    while todo:
+        x = todo.pop()
+        if x not in seen:
+            seen.add(x)
+            todo.extend(adj.get(x, ()))
+    return len(seen) == n
 
 
-def test_spanning_tree_matches_reference():
+def _connected_fixture(rng):
+    """A random connected graph on 2 to 40 vertices with random distinct ids:
+    a tree, a connected gnp draw, a star, a path or a clique."""
+    n = rng.randint(2, 40)
+    family = rng.choice(("tree", "gnp", "star", "path", "clique"))
+    if family == "tree":
+        edges = [(rng.randint(1, v - 1), v) for v in range(2, n + 1)]
+    elif family == "gnp":
+        edges = []
+        while not _spans(edges, n):
+            edges = gnp_edges(n, rng.uniform(0.1, 0.6), seed=rng.randrange(2**32))
+    elif family == "star":
+        edges = star_edges(n)
+    elif family == "path":
+        edges = path_edges(n)
+    else:
+        edges = complete_edges(min(n, 15))
+    ids = rng.sample(range(1, 10**6), n)
+    return adj_dict([(ids[u - 1], ids[v - 1]) for u, v in edges])
+
+
+def test_spanning_tree_witness_is_independent_and_exact():
     rng = random.Random(17)
-    checked = 0
-    while checked < 300:
-        n = rng.randint(2, 60)
-        # a random tree keeps the graph connected; extra edges, often to a
-        # few hubs, vary the BFS tree and its sibling groups
-        edges = {(rng.randint(1, v - 1), v) for v in range(2, n + 1)}
-        hubs = rng.sample(range(1, n + 1), min(n, 3))
-        for _ in range(rng.randint(0, 2 * n)):
-            u, v = rng.choice(hubs), rng.randint(1, n)
-            if u != v:
-                edges.add((min(u, v), max(u, v)))
-        adj = adj_dict(sorted(edges))
-        assert spanning_tree_two_paths(adj) == _reference_spanning_tree(adj)
-        checked += 1
+    for _ in range(1200):
+        adj = _connected_fixture(rng)
+        paths = spanning_tree_two_paths(adj)
+        assert len(paths) == (len(adj) - 1) // 2
+        seen = set()
+        for u, c, w in paths:
+            assert u < w and c in adj[u] and c in adj[w]
+            for pair in ({u, c}, {c, w}, {u, w}):
+                assert frozenset(pair) not in seen
+                seen.add(frozenset(pair))
+
+
+def test_spanning_tree_frozen_examples():
+    # the BFS tree of a path is the path: pairs from the far end up
+    assert spanning_tree_two_paths(adj_dict(path_edges(7))) == [(5, 6, 7), (3, 4, 5), (1, 2, 3)]
+    # K_{1,6}: the hub pairs its leaves, deepest BFS order first
+    assert spanning_tree_two_paths(adj_dict(star_edges(7))) == [(6, 1, 7), (4, 1, 5), (2, 1, 3)]
+    # 7's lone child 10 goes up to 3; 5 pairs 8 and 9 and then joins 2
+    tree = [(1, 2), (1, 3), (1, 4), (2, 5), (2, 6), (3, 7), (5, 8), (5, 9), (7, 10)]
+    assert spanning_tree_two_paths(adj_dict(tree)) == [(3, 7, 10), (8, 5, 9), (5, 2, 6), (3, 1, 4)]
 
 
 def test_spanning_tree_does_not_depend_on_insertion_order():
@@ -315,6 +303,18 @@ def test_verify_flags_on_standard_fixtures():
     rep = verify_lower_bounds(adj_dict(path_edges(10)))
     assert rep.bound_connected == 4 and rep.connected_ok
     assert rep.tree_witness >= 4
+
+    rep = verify_lower_bounds(adj_dict(cycle_edges(9)))
+    assert rep.bound_bipartite is None and rep.bipartite_ok is None  # odd cycle
+    assert rep.tree_witness == 4 and rep.connected_ok
+
+    rep = verify_lower_bounds(adj_dict(cycle_edges(10)))
+    assert rep.bound_bipartite == 1 and rep.bipartite_ok
+    assert rep.tree_witness == 4 and rep.connected_ok
+
+    rep = verify_lower_bounds(adj_dict(star_edges(12)))  # K_{1,11}
+    assert rep.bound_bipartite == 1 and rep.bipartite_ok
+    assert rep.tree_witness == 5 and rep.connected_ok
 
 
 def test_verify_random_connected_graphs():
