@@ -12,12 +12,21 @@ from .oracles import exact_triangles
 from .stream_core import AdjacencyGraph, EdgeEvent, apply_event
 
 
+def check_keep_probability(p: float, name: str = "keep probability") -> None:
+    """Raise ValueError unless 2^-64 <= p <= 1.
+
+    Below 2^-64 the hash-coin threshold ``int(p * 2**64)`` is 0, so no edge
+    could be kept (and ``p**3`` may underflow to 0).
+    """
+    if not (2.0**-64 <= p <= 1):
+        raise ValueError(f"{name} must be in [2^-64, 1], got {p}")
+
+
 class DoulionCounter:
     """Keep each edge with probability p; estimate T3 = exact_kept / p^3."""
 
     def __init__(self, n: int, p: float, seed: int = 0):
-        if not (0 < p <= 1):
-            raise ValueError(f"keep probability must be in (0, 1], got {p}")
+        check_keep_probability(p)
         if n < 2:
             raise ValueError(f"universe must hold at least 2 vertices, got n={n}")
         self.n = n

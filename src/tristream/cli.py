@@ -20,7 +20,7 @@ import sys
 from dataclasses import asdict
 
 from . import __version__
-from .baselines import DoulionCounter
+from .baselines import DoulionCounter, check_keep_probability
 from .estimator import NoQualifiedCopiesError, derive_config, estimate_triangles
 from .generators import (
     complete_bipartite_edges,
@@ -211,8 +211,7 @@ def _cmd_verify(args):
 
 
 def _cmd_doulion(args):
-    if not (0 < args.p <= 1):
-        raise ValueError(f"--p must be in (0, 1], got {args.p}")
+    check_keep_probability(args.p, "--p")
     if args.trials < 1:
         raise ValueError(f"--trials must be positive, got {args.trials}")
     edges, n = _live_edges(args.stream, args.n)

@@ -52,6 +52,10 @@ from .two_path import TwoPathEstimator
 
 _SKETCH_TAG = (1 << 40) + 1  # domain separation from copy indices
 _SAMPLE_TAG = (1 << 40) + 2
+# Allocation limits: the sketch's int64 counters (1 GiB) and the copies,
+# whose seeds and per-copy columns are built as arrays and lists of length k.
+_MAX_SKETCH_COUNTERS = 1 << 27
+_MAX_COPIES = 1 << 24
 
 
 class InvalidRangeError(ValueError):
@@ -114,10 +118,14 @@ def derive_config(
     for name, val in (("k", k_override), ("s", s_override), ("colors", colors_override)):
         if val is not None and val < 1:
             raise InvalidRangeError(f"{name}_override must be positive, got {val}")
-    _, cols = sketch_dims(epsilon, delta)
+    rows, cols = sketch_dims(epsilon, delta)
     top = MERSENNE_PRIMES[-1][1]  # the sketch hashes ids and columns modulo a prime above both
     if max(n, cols) >= top:
         raise InvalidRangeError(f"n={n} and the sketch's {cols} columns must be below {top}")
+    if rows * cols > _MAX_SKETCH_COUNTERS:
+        raise InvalidRangeError(
+            f"the sketch's {rows} x {cols} counters exceed 2^27; raise epsilon or delta"
+        )
     b = m_max // 18
     p = 1.0 if b == 0 else min(1.0, 5.0 / (epsilon * math.sqrt(b)))
     colors = colors_override if colors_override is not None else max(1, math.floor(1.0 / p + 0.5))
@@ -127,6 +135,10 @@ def derive_config(
         if k_override is not None
         else math.ceil((36.0 / (epsilon * epsilon * alpha_min)) * math.log(2.0 / delta))
     )
+    if k > _MAX_COPIES:
+        raise InvalidRangeError(
+            f"k={k} copies exceed 2^24; lower k_override or raise epsilon, delta or alpha_min"
+        )
     return EstimatorConfig(
         n=n, m_max=m_max, epsilon=epsilon, delta=delta, alpha_min=alpha_min,
         seed=seed, b=b, p=p, colors=colors, s=s, k=k, degenerate=(b == 0),

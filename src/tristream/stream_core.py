@@ -179,13 +179,17 @@ def net_chunks(chunks, cfg: StreamConfig) -> tuple[np.ndarray, np.ndarray]:
     and at one event it keeps the same precedence (loop, normalization and
     sign, universe, insert or delete, capacity).  Each chunk is a triple
     ``(us, vs, signs)`` in the form of ``events_to_arrays``, and only the
-    sorted keys ``u*(n+1) + v`` of the live edges outlive it.  A chunk's
-    events are stable-sorted on the key.  An edge's running multiplicity
-    stays in {0, 1} exactly when its signs alternate, starting with +1 if it
-    was not live before the chunk and with -1 if it was, so a break in that
-    pattern is a duplicate insert or a delete of an absent edge.  The live
-    count plus the running sum of the chunk's signs is checked against
-    ``m_max``.  A chunk is checked whole before the next one is read, so the
+    sorted keys ``u*(n+1) + v`` of the live edges outlive it.  Each chunk is
+    netted in one sorted run: the live keys, as inserts, followed by the
+    chunk's keys, stable-sorted, so that an edge live before the chunk leads
+    its run with +1.  An edge's multiplicity stays in {0, 1} exactly when its
+    signs in the run alternate +1, -1, ... starting with +1, so a break in
+    that pattern is a duplicate insert or a delete of an absent edge.  The
+    edges live after the chunk are those whose last sign in the run is +1,
+    already sorted.  The live count plus the running sum of the chunk's
+    signs is checked against ``m_max``.  A chunk costs
+    O(live + chunk log chunk): the live keys are one sorted run of the
+    sort.  A chunk is checked whole before the next one is read, so the
     first violation in a chunk is the stream's first.  The endpoint arrays
     are read as signed 64-bit integers, so a negative endpoint that
     ``events_to_arrays`` stored as its uint64 bit pattern is reported as
@@ -209,28 +213,20 @@ def net_chunks(chunks, cfg: StreamConfig) -> tuple[np.ndarray, np.ndarray]:
         del malformed
         # every event before k is well formed; the order checks run on those
         ps = signs[:k]
-        key = us[:k].astype(np.uint64)
-        key *= base
-        key += vs[:k].astype(np.uint64, copy=False)
+        held = live.size
+        key = np.concatenate((live, us[:k].astype(np.uint64, copy=False)))
+        key[held:] *= base
+        key[held:] += vs[:k].astype(np.uint64, copy=False)
         order = np.argsort(key, kind="stable")
         key = key[order]
-        s = ps[order]
+        s = np.concatenate((np.ones(held, dtype=ps.dtype), ps))[order]
         same = key[1:] == key[:-1]
-        repeat = np.empty(k, dtype=bool)
+        repeat = np.empty(key.size, dtype=bool)
         repeat[:1] = s[:1] != 1
         repeat[1:] = np.where(same, s[1:] == s[:-1], s[1:] != 1)
-        last = np.ones(k, dtype=bool)
-        last[:-1] = ~same
-        if live.size:
-            keys = key[last]  # the chunk's distinct keys, ascending
-            pos = live.searchsorted(keys)
-            was_live = pos < live.size
-            was_live[was_live] = live[pos[was_live]] == keys[was_live]
-            # the first event of a key that is live already must delete it
-            firsts = np.flatnonzero(np.append(True, ~same))[was_live]
-            repeat[firsts] = ~repeat[firsts]
-        first_repeat = int(order[repeat].min()) if repeat.any() else size
-        over = np.flatnonzero(np.cumsum(ps) > cfg.m_max - live.size)
+        # a live key leads its run with +1, so no flagged position is a live key
+        first_repeat = int(order[repeat].min()) - held if repeat.any() else size
+        over = np.flatnonzero(np.cumsum(ps) > cfg.m_max - held)
         first_over = int(over[0]) if over.size else size
 
         i = min(first_repeat, first_over, k)
@@ -247,13 +243,10 @@ def net_chunks(chunks, cfg: StreamConfig) -> tuple[np.ndarray, np.ndarray]:
             raise type(err)(f"event {start + i}: {err}")
         start += size
 
-        # a key is live after the chunk iff the chunk's last event of it inserts it
-        added = key[last & (s == 1)]
-        if live.size:
-            live = np.delete(live, pos[was_live])
-            live = np.insert(live, live.searchsorted(added), added)
-        else:
-            live = added
+        # a key is live after the chunk iff its last event in the run inserts it
+        last = np.ones(key.size, dtype=bool)
+        last[:-1] = ~same
+        live = key[last & (s == 1)]
     return live // base, live % base
 
 

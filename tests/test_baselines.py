@@ -40,6 +40,16 @@ def test_validation():
         DoulionCounter(1, 0.5)
 
 
+def test_rejects_a_keep_probability_the_hash_coin_cannot_realise():
+    # below 2^-64 the coin's threshold p * 2^64 is 0 and p^3 may underflow
+    for p in (1e-200, 2.0**-65):
+        with pytest.raises(ValueError, match=r"must be in \[2\^-64, 1\]"):
+            DoulionCounter(10, p)
+    counter = DoulionCounter(10, 2.0**-64)
+    counter.update_many(edges_to_events(complete_edges(3)))
+    assert counter.estimate() == 0.0
+
+
 def test_mean_estimate_is_close_on_complete_graph():
     events = edges_to_events(complete_edges(8))  # 56 triangles
     total = 0.0

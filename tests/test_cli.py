@@ -155,6 +155,21 @@ def test_doulion_full_keep_and_validation(tmp_path, capsys):
     assert json.loads(out)["error"]["type"] == "ValueError"
 
 
+def test_doulion_rejects_a_keep_probability_below_the_hash_coin_before_the_stream(
+    tmp_path, capsys
+):
+    path = tmp_path / "triangle.txt"
+    path.write_text("+ 1 2\n+ 2 3\n+ 1 3\n")
+    code, out = run_cli(["doulion", str(path), "--p", "1e-200"], capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == {
+        "type": "ValueError", "message": "--p must be in [2^-64, 1], got 1e-200"}
+    loop = tmp_path / "loop.txt"
+    loop.write_text("+ 3 3\n")  # the parameter error comes before the stream's
+    code, out = run_cli(["doulion", str(loop), "--p", "1e-200"], capsys)
+    assert code == 2 and json.loads(out)["error"]["type"] == "ValueError"
+
+
 def test_doulion_on_live_edges_equals_replay_of_every_event(tmp_path, capsys):
     events, n = with_churn(gnp_edges(30, 0.4, seed=3), 80, seed=3, n_base=30)
     path = tmp_path / "churn.txt"
@@ -290,6 +305,16 @@ def test_exact_rejects_vertex_ids_beyond_the_edge_keys(tmp_path, capsys, line):
     code, out = run_cli(["estimate", str(path), "--n", str(2**32 - 1), "--m-max", "4"], capsys)
     assert code == 2
     assert json.loads(out)["error"]["type"] == "InvalidRangeError"
+
+
+def test_estimate_rejects_arrays_too_large_to_allocate_before_the_stream(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("+ 3 3\n")  # a loop on line 1, reported only if the knobs pass
+    for knob in (["--epsilon", "0.001"], ["--alpha-min", "1e-6"]):
+        code, out = run_cli(["estimate", str(path), "--n", "10", "--m-max", "10", *knob], capsys)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["type"] == "InvalidRangeError" and "line" not in error
 
 
 def test_estimate_rejects_a_universe_the_sketch_cannot_hash_before_the_stream(tmp_path, capsys):

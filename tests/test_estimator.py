@@ -22,6 +22,7 @@ from tristream.estimator import (
     derive_config,
     estimate_triangles,
 )
+from tristream.f2_sketch import sketch_dims
 from tristream.generators import (
     complete_bipartite_edges,
     complete_edges,
@@ -91,6 +92,20 @@ def test_derive_config_rejects_universes_the_sketch_cannot_hash():
             derive_config(m_max=10, **kwargs)
     cfg = derive_config(n=2**31 - 2, m_max=10)
     assert TwoPathEstimator(cfg.n, cfg.epsilon, cfg.delta).sketch.prime == 2**31 - 1
+
+
+def test_derive_config_rejects_arrays_too_large_to_allocate():
+    # 144 sketch rows at delta 0.1; at most 2^27 counters and 2^24 copies
+    for kwargs, what in (
+        (dict(epsilon=0.001), r"144 x 216000000 counters exceed 2\^27"),
+        (dict(epsilon=0.01), r"144 x 2160000 counters exceed 2\^27"),
+        (dict(alpha_min=1e-6), r"copies exceed 2\^24"),
+        (dict(k_override=2**24 + 1), r"k=16777217 copies exceed 2\^24"),
+    ):
+        with pytest.raises(InvalidRangeError, match=what):
+            derive_config(n=10, m_max=10, **kwargs)
+    cfg = derive_config(n=10, m_max=10, epsilon=0.02, k_override=2**24)
+    assert cfg.k == 2**24 and math.prod(sketch_dims(cfg.epsilon, cfg.delta)) == 77_760_000
 
 
 def test_overrides_win():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import chunk_size, contract_outcome, small_streams
 from tristream import stream_core
+from tristream.generators import mixed_update_stream
 from tristream.stream_core import (
     AdjacencyGraph,
     DeleteAbsentError,
@@ -140,7 +141,7 @@ def test_events_to_arrays_accepts_a_generator():
 
 @settings(max_examples=300, deadline=None)
 @given(small_streams())
-def test_net_events_agrees_with_materialize(case):
+def test_net_chunks_agrees_with_materialize(case):
     n, m_max, events = case
     cfg = StreamConfig(n=n, m_max=m_max)
     graphs = []
@@ -154,7 +155,7 @@ def test_net_events_agrees_with_materialize(case):
         assert live == sorted(graphs[0].edges())
 
 
-def test_net_events_reports_the_first_violation_of_any_kind():
+def test_net_chunks_reports_the_first_violation_of_any_kind():
     cfg = StreamConfig(n=6, m_max=2)
     cases = [
         # a duplicate insert at 3 comes before the loop at 4
@@ -177,7 +178,7 @@ def test_net_events_reports_the_first_violation_of_any_kind():
             net_chunks([arrays], cfg)
 
 
-def test_net_events_nets_churn_to_the_final_edges():
+def test_net_chunks_nets_churn_to_the_final_edges():
     cfg = StreamConfig(n=9, m_max=3)
     raw = [(1, 2, 1), (4, 5, 1), (1, 2, -1), (2, 9, 1), (1, 2, 1), (4, 5, -1)]
     us, vs = net_chunks([events_to_arrays([EdgeEvent(*t) for t in raw])], cfg)
@@ -188,7 +189,7 @@ def test_net_events_nets_churn_to_the_final_edges():
 
 @settings(max_examples=300, deadline=None)
 @given(small_streams(), st.integers(1, 4))
-def test_net_chunks_agrees_with_net_events_at_every_chunk_size(case, size):
+def test_net_chunks_agrees_with_one_chunk_at_every_chunk_size(case, size):
     n, m_max, events = case
     cfg = StreamConfig(n=n, m_max=m_max)
     us, vs, signs = events_to_arrays(events)
@@ -216,6 +217,37 @@ def test_net_chunks_carries_the_live_set_across_chunks():
         net_chunks([tuple(a[:2] for a in arrays), events_to_arrays([EdgeEvent(4, 6, 1),
                                                                     EdgeEvent(4, 5, 1)])],
                    StreamConfig(n=9, m_max=5))
+
+    def chunked(*chunks):
+        return [events_to_arrays([EdgeEvent(*t) for t in raw]) for raw in chunks]
+
+    # (1, 2) is deleted in the second chunk, so its delete in the third is absent
+    with pytest.raises(DeleteAbsentError, match=r"^event 4: edge \(1, 2\) not live$"):
+        net_chunks(chunked([(1, 2, 1), (4, 5, 1)], [(1, 2, -1)], [(4, 5, -1), (1, 2, -1)]),
+                   StreamConfig(n=9, m_max=5))
+    # (4, 5) is live before the second chunk, deleted and inserted again in it
+    us, vs = net_chunks(chunked([(1, 2, 1), (4, 5, 1)], [(4, 5, -1), (2, 3, 1), (4, 5, 1)]),
+                        StreamConfig(n=9, m_max=5))
+    assert list(zip(us.tolist(), vs.tolist())) == [(1, 2), (2, 3), (4, 5)]
+
+
+def test_net_chunks_keeps_event_order_within_long_chunks():
+    # thousands of events over 28 keys, so each key has many events per chunk
+    events = mixed_update_stream(8, 4000, seed=5)
+    cfg = StreamConfig(n=8, m_max=28)
+    for flip in (None, 2101, 3999):  # an insert made a delete, a delete made an insert
+        stream = list(events)
+        if flip is not None:
+            e = stream[flip]
+            stream[flip] = EdgeEvent(e.u, e.v, -e.sign)
+        graphs = []
+        want = contract_outcome(lambda: graphs.append(materialize(stream, cfg)))
+        us, vs, signs = events_to_arrays(stream)
+        chunks = [(us[i:i + 1500], vs[i:i + 1500], signs[i:i + 1500]) for i in range(0, 4000, 1500)]
+        nets = []
+        assert contract_outcome(lambda: nets.append(net_chunks(chunks, cfg))) == want
+        if want is None:
+            assert list(zip(*(a.tolist() for a in nets[0]))) == sorted(graphs[0].edges())
 
 
 def _read_outcome(text, n, reader):
