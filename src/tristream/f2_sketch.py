@@ -14,10 +14,15 @@ Linearity makes the sketch order-independent and mergeable, and lets
 ``update_many`` collapse repeated ±1 updates of one item into a single
 weighted update with bit-identical counters.
 
-The update kernel works in blocks of ``_BLOCK_CELLS`` = 2^16 (row, item)
-cells, about 455 items at the default 144 rows, through four reused 512 KB
-buffers, so its temporaries do not grow with the item count.  With x^2 and
-x^3 reduced mod p once per item, a row's sign polynomial
+The update kernel takes the items in blocks of at most ``_BLOCK_ITEMS`` =
+2^14 and a block's rows in groups of ``_BLOCK_CELLS // block`` rows, so each
+pass covers at most ``_BLOCK_CELLS`` = 2^16 (row, item) cells through four
+reused 512 KB buffers and its temporaries do not grow with the item count.
+Every numpy call then runs along the item axis: a batch of 5,410 items runs
+12 groups of 12 rows, and one of 455 items or fewer runs the default 144
+rows as one group.
+
+With x^2 and x^3 reduced mod p once per item, a row's sign polynomial
 a3*x^3 + a2*x^2 + a1*x + a0 is below 3(p-1)^2 + p < 2^64 for every
 supported prime (up to 2^31 - 1) and needs one reduction.  Its parity needs
 no remainder: with q = y // p, (y mod p) & 1 == (y ^ q) & 1 because p is
@@ -57,7 +62,8 @@ def sketch_dims(epsilon: float, delta: float) -> tuple[int, int]:
 
 
 _WEIGHT_BUDGET = 1 << 62  # conservative: |counter| <= sum of |weight| always
-_BLOCK_CELLS = 1 << 16  # (row, item) cells per kernel block: 512 KB per buffer
+_BLOCK_CELLS = 1 << 16  # (row, item) cells per kernel pass: 512 KB per buffer
+_BLOCK_ITEMS = 1 << 14  # items per kernel block: at least 4 rows per group
 
 
 def _integers(values, name: str) -> np.ndarray:
@@ -91,14 +97,15 @@ class F2Sketch:
         _, self.prime = prime_for(max(n, cols))
         # One hash pair per row, drawn from a PCG stream keyed by the sketch
         # seed.  Equal (n, rows, cols, seed) therefore implies equal families,
-        # which is what merge checks.  Column vectors broadcast over items.
+        # which is what merge checks.  Column vectors broadcast over items:
+        # each row's counter offset r*cols, its sign coefficients a0..a3 and
+        # its bucket pair (a, b).
         rng = np.random.default_rng(seed)
-        self._sign = rng.integers(0, self.prime, size=(4, rows, 1), dtype=np.uint64)
-        self._bucket = np.stack([
-            rng.integers(1, self.prime, size=(rows, 1), dtype=np.uint64),
-            rng.integers(0, self.prime, size=(rows, 1), dtype=np.uint64),
-        ])
-        self._row_base = np.arange(rows, dtype=np.int64).reshape(rows, 1) * cols
+        sign = rng.integers(0, self.prime, size=(4, rows, 1), dtype=np.uint64)
+        a = rng.integers(1, self.prime, size=(rows, 1), dtype=np.uint64)
+        b = rng.integers(0, self.prime, size=(rows, 1), dtype=np.uint64)
+        row_base = np.arange(rows, dtype=np.int64).reshape(rows, 1) * cols
+        self._columns = (row_base, *sign, a, b)
         self._counters = np.zeros(rows * cols, dtype=np.int64)
         self._abs_weight = 0
 
@@ -144,9 +151,10 @@ class F2Sketch:
     def _apply(self, x: np.ndarray, weights: np.ndarray) -> None:
         """Add every item's signed weight to its counter in each row.
 
-        Items go through in blocks of ``_BLOCK_CELLS // rows`` items, so the
-        four (rows x block) buffers below stay cache-sized and are reused by
-        every block through ``out=``.
+        Items go through in blocks of at most ``_BLOCK_ITEMS``, and each
+        block's rows in groups of ``_BLOCK_CELLS // block`` rows, so the four
+        (group x block) buffers below stay cache-sized, are reused through
+        ``out=``, and every numpy call runs along the long item axis.
         """
         p, cols = np.uint64(self.prime), np.uint64(self.cols)
         # x < p, so x^2 and x^3 reduced once per item keep every product
@@ -156,41 +164,47 @@ class F2Sketch:
         x2 -= x2 // p * p
         x3 = x2 * x
         x3 -= x3 // p * p
-        a0, a1, a2, a3 = self._sign
-        a, b = self._bucket
         rows = self.rows
-        step = max(1, _BLOCK_CELLS // rows)
-        size = rows * min(step, x.size)
+        block = min(_BLOCK_ITEMS, x.size)
+        group = max(1, min(rows, _BLOCK_CELLS // block))
+        groups = [self._columns] if group == rows else [
+            [c[r:r + group] for c in self._columns] for r in range(0, rows, group)
+        ]
+        size = group * block
         y_buf, q_buf = np.empty(size, np.uint64), np.empty(size, np.uint64)
         cell_buf, signed_buf = np.empty(size, np.int64), np.empty(size, np.int64)
-        for lo in range(0, x.size, step):
-            hi = min(lo + step, x.size)
-            cells = rows * (hi - lo)
-            y, q, cell, signed = (
-                buf[:cells].reshape(rows, hi - lo) for buf in (y_buf, q_buf, cell_buf, signed_buf)
-            )
-            np.multiply(a3, x3[lo:hi], out=y)
-            y += np.multiply(a2, x2[lo:hi], out=q)
-            y += np.multiply(a1, x[lo:hi], out=q)
-            y += a0
-            # Sign from the low bit of y mod p = y - q*p with q = y // p.  For
-            # odd p, q*p has q's parity and subtraction agrees with xor in the
-            # low bit, so (y mod p) & 1 == (y ^ q) & 1: one // and no %.
-            np.floor_divide(y, p, out=q)
-            y ^= q
-            y &= np.uint64(1)
-            sign = y.view(np.int64)
-            sign <<= 1
-            sign -= 1
-            np.multiply(sign, weights[lo:hi], out=signed)
-            # Bucket ((a*x + b) mod p) mod cols, each mod as y - (y // m) * m;
-            # a*x + b < p^2 < 2^62.
-            np.multiply(a, x[lo:hi], out=y)
-            y += b
-            y -= np.multiply(np.floor_divide(y, p, out=q), p, out=q)
-            y -= np.multiply(np.floor_divide(y, cols, out=q), cols, out=q)
-            np.add(self._row_base, y.view(np.int64), out=cell)
-            np.add.at(self._counters, cell_buf[:cells], signed_buf[:cells])
+        for lo in range(0, x.size, block):
+            hi = min(lo + block, x.size)
+            xb, x2b, x3b, wb = x[lo:hi], x2[lo:hi], x3[lo:hi], weights[lo:hi]
+            for base, a0, a1, a2, a3, a, b in groups:
+                cells = a.size * (hi - lo)
+                y, q, cell, signed = (
+                    buf[:cells].reshape(a.size, hi - lo)
+                    for buf in (y_buf, q_buf, cell_buf, signed_buf)
+                )
+                np.multiply(a3, x3b, out=y)
+                y += np.multiply(a2, x2b, out=q)
+                y += np.multiply(a1, xb, out=q)
+                y += a0
+                # Sign from the low bit of y mod p = y - q*p with q = y // p.
+                # For odd p, q*p has q's parity and subtraction agrees with
+                # xor in the low bit, so (y mod p) & 1 == (y ^ q) & 1: one //
+                # and no %.
+                np.floor_divide(y, p, out=q)
+                y ^= q
+                y &= np.uint64(1)
+                sign = y.view(np.int64)
+                sign <<= 1
+                sign -= 1
+                np.multiply(sign, wb, out=signed)
+                # Bucket ((a*x + b) mod p) mod cols, each mod as y - (y // m) * m;
+                # a*x + b < p^2 < 2^62.
+                np.multiply(a, xb, out=y)
+                y += b
+                y -= np.multiply(np.floor_divide(y, p, out=q), p, out=q)
+                y -= np.multiply(np.floor_divide(y, cols, out=q), cols, out=q)
+                np.add(base, y.view(np.int64), out=cell)
+                np.add.at(self._counters, cell_buf[:cells], signed_buf[:cells])
 
     def estimate(self) -> float:
         """Median over rows of the sum over columns of squared counters."""

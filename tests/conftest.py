@@ -90,11 +90,12 @@ def chunk_size(events: int):
 
 
 @contextlib.contextmanager
-def block_cells(cells: int):
-    """Run the F2 sketch kernel in blocks of ``cells`` cells inside the block."""
-    saved = f2_sketch._BLOCK_CELLS
-    f2_sketch._BLOCK_CELLS = cells
+def kernel_blocks(items: int, cells: int):
+    """Run the F2 sketch kernel in blocks of at most ``items`` items and row
+    groups of ``cells // block`` rows inside the block."""
+    saved = f2_sketch._BLOCK_ITEMS, f2_sketch._BLOCK_CELLS
+    f2_sketch._BLOCK_ITEMS, f2_sketch._BLOCK_CELLS = items, cells
     try:
         yield
     finally:
-        f2_sketch._BLOCK_CELLS = saved
+        f2_sketch._BLOCK_ITEMS, f2_sketch._BLOCK_CELLS = saved

@@ -404,6 +404,23 @@ def test_copy_graph_samples_two_paths_uniformly():
     assert chi2 < 29.59  # 0.999 quantile of chi-square with 10 degrees of freedom
 
 
+def test_copy_graph_has_edges_answers_in_query_order():
+    # Queries are searched in sorted order and answered in their own: draw
+    # them unsorted, with repeats, and with pairs on the top vertices 36..39,
+    # which no edge touches, so their keys lie above the largest key.
+    rng = np.random.default_rng(16)
+    pairs = sorted({(a, b) for a, b in rng.integers(0, 36, size=(300, 2)).tolist() if a < b})
+    edges = set(pairs)
+    g = _CopyGraph.from_edges(np.array([a for a, _ in pairs]), np.array([b for _, b in pairs]), 40)
+    qa = rng.integers(0, 39, size=2_000)
+    qb = qa + rng.integers(1, 40 - qa)
+    qa, qb = np.concatenate([qa, qa[:500], [35, 38]]), np.concatenate([qb, qb[:500], [39, 39]])
+    found = g.has_edges(qa, qb)
+    assert found.tolist() == [(a, b) in edges for a, b in zip(qa.tolist(), qb.tolist())]
+    assert 0 < found.sum() < found.size and (qb >= 36).any()
+    assert g.has_edges(qa[:0], qb[:0]).tolist() == []
+
+
 def test_colored_copy_samples_monochromatic_two_paths_uniformly():
     # the graph of test_copy_graph_samples_two_paths_uniformly on vertices
     # 1, 2, 3, 5, 6, 7 of color 1, plus edges to vertices 0 and 4 of other
@@ -520,6 +537,24 @@ def test_four_color_report_is_frozen():
         (361, 52, True, 0), (352, 43, False, None), (364, 49, False, None),
         (337, 54, False, None), (392, 77, True, 1), (362, 49, False, None),
     ]
+
+
+def test_one_color_report_at_default_knobs_is_frozen():
+    # 1,500 triangles, a matching of 6,000 edges and 5 stars of 99 leaves on
+    # 17,000 ids up to 600,000: the sketch hashes modulo 2^31 - 1 and takes
+    # its 17,000 vertices in two item blocks.  P2 = 4,500 + 5 * C(99, 2).
+    rng = np.random.default_rng(16)
+    ids = rng.choice(np.arange(1, 600_001), size=17_000, replace=False).tolist()
+    edges = [(ids[i + j], ids[i + k])
+             for i in range(0, 4500, 3) for j, k in ((0, 1), (1, 2), (0, 2))]
+    edges += [(ids[i], ids[i + 1]) for i in range(4500, 16500, 2)]
+    edges += [(ids[16500 + h], ids[16505 + 99 * h + j]) for h in range(5) for j in range(99)]
+    edges = [(min(e), max(e)) for e in edges]
+    cfg = derive_config(n=600_000, m_max=len(edges), seed=5)
+    assert (cfg.colors, cfg.k) == (1, 23966)
+    report = estimate_triangles(edges_to_events(edges), cfg)
+    assert (report.live_edges, report.p2_live) == (10_995, 28_755)
+    assert (report.p2_hat, report.alpha_hat, report.ell) == (28697.5, 3809 / 23966, 23966)
 
 
 def test_one_color_copies_draw_independently():

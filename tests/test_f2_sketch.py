@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import block_cells
+from conftest import kernel_blocks
 
 from tristream.f2_sketch import (
     CounterOverflowError,
@@ -126,8 +126,7 @@ def _scalar_counters(sk, items, weights):
     p = sk.prime
     ref = [[0] * sk.cols for _ in range(sk.rows)]
     for r in range(sk.rows):
-        a0, a1, a2, a3 = (int(c[r, 0]) for c in sk._sign)
-        a, b = (int(c[r, 0]) for c in sk._bucket)
+        _, a0, a1, a2, a3, a, b = (int(c[r, 0]) for c in sk._columns)
         for v, w in zip(items, weights):
             x = (a3 * v**3 + a2 * v**2 + a1 * v + a0) % p
             col = (a * v + b) % p % sk.cols
@@ -140,32 +139,52 @@ _PRIMES = ((100, 8191), (10_000, 131071), (200_000, 524287), (600_000, 2**31 - 1
 
 def test_kernels_agree_bit_for_bit():
     # n = 100, 10^4, 2*10^5, 6*10^5 select the 13-, 17-, 19- and 31-bit
-    # primes; 3 rows in blocks of 12 cells make B = 4 items per block, and
-    # item counts 1, B-1, B, B+1 and 2B+3 end a block early, on the edge
-    # and past it.  5 cells make B = 1 item; 2 cells, below the row count,
-    # still give one item per block.
+    # primes.  Each case is (rows, items per block, cells, item count); a
+    # block of B items runs its rows in groups of cells // B.  With B = 4
+    # and 12 cells, 3 rows form one group and counts 1, 3, 4, 5 and 11 end
+    # an item block early, on the edge and past it; 7 rows form groups of
+    # 3, 3 and 1, and of 6 and 1 when 2 items make the only block.  5 and
+    # 8 cells give groups of 1 and 2 rows; 2 cells, below one block, and 12
+    # cells over an 11-item block still give one row per group.  The last
+    # case runs the real constants.
     rng = np.random.default_rng(4)
+    cases = ((3, 4, 12, 1), (3, 4, 12, 3), (3, 4, 12, 4), (3, 4, 12, 5), (3, 4, 12, 11),
+             (7, 4, 12, 2), (7, 4, 12, 8), (7, 4, 12, 11), (7, 4, 8, 9), (3, 4, 5, 7),
+             (3, 4, 2, 3), (3, 1 << 14, 12, 11), (7, 1 << 14, 1 << 16, 45))
     for n, prime in _PRIMES:
-        for cells, count in ((12, 1), (12, 3), (12, 4), (12, 5), (12, 11), (5, 7), (2, 3),
-                             (1 << 16, 45)):
-            sk = F2Sketch(n, rows=3, cols=17, seed=21)
+        for rows, items_per_block, cells, count in cases:
+            sk = F2Sketch(n, rows=rows, cols=17, seed=21)
             assert sk.prime == prime
             items = ([1, n, n // 2, n - 1, 2] + rng.integers(1, n + 1, size=40).tolist())[:count]
             weights = ([4, -2, 7, 1, -5] + rng.integers(-9, 10, size=40).tolist())[:count]
-            with block_cells(cells):
+            with kernel_blocks(items_per_block, cells):
                 sk.update_many(items, weights)
             assert sk.counters.tolist() == _scalar_counters(sk, items, weights)
 
 
 def test_kernel_at_default_dims_and_budget_edge():
-    # 144 x 2400 cells in real 2^16-cell blocks (B = 455 items): 2B+3 items
+    # 144 x 2400 cells in the real blocks.  455 items or fewer run all rows
+    # as one group; 456 items run groups of 143 rows and 1 row.
     rng = np.random.default_rng(7)
     sk = F2Sketch.from_accuracy(600_000, 0.3, 0.1, seed=3)
     assert (sk.rows, sk.cols, sk.prime) == (144, 2400, 2**31 - 1)
-    items = rng.choice(np.arange(1, 600_001), size=2 * 455 + 3, replace=False).tolist()
-    weights = rng.integers(-3, 4, size=len(items)).tolist()
-    sk.update_many(items, weights)
-    assert sk.counters.tolist() == _scalar_counters(sk, items, weights)
+    items = rng.choice(np.arange(1, 600_001), size=2**14 + 3, replace=False)
+    weights = rng.choice([-3, -2, -1, 1, 2, 3], size=items.size)  # no zero weight is dropped
+    head, head_weights = items[:456].tolist(), weights[:456].tolist()
+    sk.update_many(head, head_weights)
+    assert sk.counters.tolist() == _scalar_counters(sk, head, head_weights)
+    # 2^14 + 3 items make a full item block in 36 groups of 4 rows, then a
+    # 3-item block.  On 4 rows the scalar reference is cheap; on 144 rows
+    # the counters equal, by linearity, those of 455-item calls.
+    narrow = F2Sketch(600_000, rows=4, cols=2400, seed=3)
+    narrow.update_many(items, weights)
+    assert narrow.counters.tolist() == _scalar_counters(narrow, items.tolist(), weights.tolist())
+    whole = F2Sketch.from_accuracy(600_000, 0.3, 0.1, seed=3)
+    whole.update_many(items, weights)
+    pieces = F2Sketch.from_accuracy(600_000, 0.3, 0.1, seed=3)
+    for lo in range(0, items.size, 455):
+        pieces.update_many(items[lo:lo + 455], weights[lo:lo + 455])
+    assert np.array_equal(whole.counters, pieces.counters)
     # Weights of +-2^61 with mixed signs fill the budget to 2^62 - 1.  Item 1
     # and a partner that shares its counter in some row, with the signs
     # there agreeing, push that counter to +-(2^62 - 1) exactly.
