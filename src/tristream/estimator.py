@@ -302,20 +302,11 @@ class _CopyGraph:
         return np.minimum(x, y), c, np.maximum(x, y)
 
     def has_edges(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Whether each pair (u, w), u < w, is an edge.
-
-        The pairs' keys are searched in ``keys`` in ascending order, where
-        each search starts from the last one's position and reads memory
-        near it, and the answers are scattered back to the pairs' order.
-        """
+        """Whether each pair (u, w), u < w, is an edge: one search in ``keys``."""
         q = u * self.num_vertices + w
-        order = q.argsort()
-        q = q[order]
         pos = self.keys.searchsorted(q)
-        hit = pos < self.keys.size
-        hit[hit] = self.keys[pos[hit]] == q[hit]
-        found = np.empty_like(hit)
-        found[order] = hit
+        found = pos < self.keys.size
+        found[found] = self.keys[pos[found]] == q[found]
         return found
 
 

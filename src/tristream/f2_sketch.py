@@ -167,9 +167,7 @@ class F2Sketch:
         rows = self.rows
         block = min(_BLOCK_ITEMS, x.size)
         group = max(1, min(rows, _BLOCK_CELLS // block))
-        groups = [self._columns] if group == rows else [
-            [c[r:r + group] for c in self._columns] for r in range(0, rows, group)
-        ]
+        groups = [[c[r:r + group] for c in self._columns] for r in range(0, rows, group)]
         size = group * block
         y_buf, q_buf = np.empty(size, np.uint64), np.empty(size, np.uint64)
         cell_buf, signed_buf = np.empty(size, np.int64), np.empty(size, np.int64)

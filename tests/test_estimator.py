@@ -405,9 +405,9 @@ def test_copy_graph_samples_two_paths_uniformly():
 
 
 def test_copy_graph_has_edges_answers_in_query_order():
-    # Queries are searched in sorted order and answered in their own: draw
-    # them unsorted, with repeats, and with pairs on the top vertices 36..39,
-    # which no edge touches, so their keys lie above the largest key.
+    # Answers come in the queries' order: draw them unsorted, with repeats,
+    # and with pairs on the top vertices 36..39, which no edge touches, so
+    # their keys lie above the largest key.
     rng = np.random.default_rng(16)
     pairs = sorted({(a, b) for a, b in rng.integers(0, 36, size=(300, 2)).tolist() if a < b})
     edges = set(pairs)
