@@ -5,19 +5,20 @@ netted once: a sorting pass per chunk checks the turnstile contract and
 leaves the edges live at the end.  Those feed a degree sketch (for the
 2-path count; the sketch is linear, so the netted edges give the same
 counters as every event) and K independently seeded colorings.  Each copy
-keeps the monochromatic live edges.  The live edges are sorted once into
-one CSR adjacency over the live vertices, and a several-color copy is that
-CSR with each row masked to its center's color: a CSR of its own, built
-without a sort, on which the greedy certification and the sampler run.  A
-copy that certifies enough pairwise independent 2-paths contributes one
-indicator: whether a uniformly sampled 2-path of its graph closes into a
-triangle.  The mean indicator estimates the transitivity alpha, and
-T3 = alpha * P2 / 3.  A stream with a length (a list, or an array triple)
-is netted as one chunk, so memory is O(events) for it.  Any other
-iterable, such as the chunks of ``stream_core.read_chunks`` that
-``tristream estimate`` passes, is netted chunk by chunk in
-O(m_max + chunk).  On top of that, the shared CSR takes O(live edges), and
-so does each several-color copy in turn.
+keeps the monochromatic live edges.  The live edges are sorted once, as
+distinct words row * V + neighbor, into one CSR adjacency over the V live
+vertices, and a several-color copy is that CSR with each row masked to its
+center's color: a CSR of its own, built without a sort, on which the
+greedy certification and the sampler run.  A copy that certifies enough
+pairwise independent 2-paths contributes one indicator: whether a
+uniformly sampled 2-path of its graph closes into a triangle.  The mean
+indicator estimates the transitivity alpha, and T3 = alpha * P2 / 3.  A
+stream with a length (a list, or an array triple) is netted as one
+chunk, so memory is O(events) for it.  Any other iterable, such as the
+chunks of ``stream_core.read_chunks`` that ``tristream estimate``
+passes, is netted chunk by chunk in O(m_max + chunk).  On top of that,
+the shared CSR takes O(live edges), and so does each several-color copy
+in turn.
 
 Copies come in groups that share one graph and one verdict: with one color
 all K copies keep the whole graph and form one group, otherwise each copy
@@ -255,13 +256,17 @@ class _CopyGraph:
     @classmethod
     def from_edges(cls, a: np.ndarray, b: np.ndarray, num_vertices: int) -> "_CopyGraph":
         """The graph of the pairs (a, b), sorted with a < b, over 0..num_vertices-1."""
-        # Each edge is listed once from its larger endpoint, then once from
-        # its smaller; a stable sort on the row then leaves every row ascending.
+        # Each edge is listed from both endpoints as the word row*V + neighbor;
+        # the words are distinct and below V^2 < 2^62, so one sort of them
+        # orders the rows and leaves every row ascending.
         rows = np.concatenate([b, a])
-        indices = np.concatenate([a, b])[np.argsort(rows, kind="stable")]
+        words = rows * num_vertices
+        words[:a.size] += a
+        words[a.size:] += b
+        words.sort()
         indptr = np.zeros(num_vertices + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=num_vertices), out=indptr[1:])
-        return cls(indptr, indices, a * num_vertices + b)
+        return cls(indptr, words % num_vertices, a * num_vertices + b)
 
     @cached_property
     def rows(self) -> np.ndarray:

@@ -181,15 +181,19 @@ def net_chunks(chunks, cfg: StreamConfig) -> tuple[np.ndarray, np.ndarray]:
     ``(us, vs, signs)`` in the form of ``events_to_arrays``, and only the
     sorted keys ``u*(n+1) + v`` of the live edges outlive it.  Each chunk is
     netted in one sorted run: the live keys, as inserts, followed by the
-    chunk's keys, stable-sorted, so that an edge live before the chunk leads
-    its run with +1.  An edge's multiplicity stays in {0, 1} exactly when its
-    signs in the run alternate +1, -1, ... starting with +1, so a break in
-    that pattern is a duplicate insert or a delete of an absent edge.  The
-    edges live after the chunk are those whose last sign in the run is +1,
-    already sorted.  The live count plus the running sum of the chunk's
-    signs is checked against ``m_max``.  A chunk costs
-    O(live + chunk log chunk): the live keys are one sorted run of the
-    sort.  A chunk is checked whole before the next one is read, so the
+    chunk's keys in event order, sorted so that an edge live before the
+    chunk leads its run with +1.  An edge's multiplicity stays in {0, 1}
+    exactly when its signs in the run alternate +1, -1, ... starting with
+    +1, so a break in that pattern is a duplicate insert or a delete of an
+    absent edge.  The edges live after the chunk are those whose last sign
+    in the run is +1, already sorted.  The live count plus the running sum
+    of the chunk's signs is checked against ``m_max``.  The chunk's keys
+    take numpy's default sort, and a sort of the distinct words
+    ``(run << 32) | position`` puts each key's events back in event order,
+    so a chunk must hold fewer than 2^31 events; a larger one raises
+    ``ValueError``.  A stable sort then merges the two sorted runs, live
+    keys first among equal keys, so a chunk costs O(live + chunk log chunk).
+    A chunk is checked whole before the next one is read, so the
     first violation in a chunk is the stream's first.  The endpoint arrays
     are read as signed 64-bit integers, so a negative endpoint that
     ``events_to_arrays`` stored as its uint64 bit pattern is reported as
@@ -206,6 +210,8 @@ def net_chunks(chunks, cfg: StreamConfig) -> tuple[np.ndarray, np.ndarray]:
         size = us.size
         if not size:
             continue
+        if size >= 1 << 31:
+            raise ValueError(f"chunk too large to sort by event position: {size} events")
         su, sv = us.view(np.int64), vs.view(np.int64)
         malformed = (su == sv) | (su > sv) | (np.abs(signs) != 1) | (su < 1) | (sv > n)
         first_bad = int(np.argmax(malformed))
@@ -214,18 +220,32 @@ def net_chunks(chunks, cfg: StreamConfig) -> tuple[np.ndarray, np.ndarray]:
         # every event before k is well formed; the order checks run on those
         ps = signs[:k]
         held = live.size
-        key = np.concatenate((live, us[:k].astype(np.uint64, copy=False)))
-        key[held:] *= base
-        key[held:] += vs[:k].astype(np.uint64, copy=False)
+        ck = us[:k].astype(np.uint64, copy=False) * base
+        ck += vs[:k].astype(np.uint64, copy=False)
+        # The default sort may leave equal keys in any order; sorting the
+        # words (run << 32) | position puts each run back in event order.
+        pos = np.argsort(ck)
+        ck = ck[pos]
+        words = np.zeros(k, dtype=np.int64)
+        np.cumsum(ck[1:] != ck[:-1], out=words[1:])
+        words <<= 32
+        words |= pos
+        words.sort()
+        pos = words & 0xFFFFFFFF
+        del words
+        # two sorted runs, which the stable sort merges with live keys leading ties
+        key = np.concatenate((live, ck))
+        del ck
         order = np.argsort(key, kind="stable")
         key = key[order]
-        s = np.concatenate((np.ones(held, dtype=ps.dtype), ps))[order]
+        s = np.concatenate((np.ones(held, dtype=ps.dtype), ps[pos]))[order]
         same = key[1:] == key[:-1]
         repeat = np.empty(key.size, dtype=bool)
         repeat[:1] = s[:1] != 1
         repeat[1:] = np.where(same, s[1:] == s[:-1], s[1:] != 1)
-        # a live key leads its run with +1, so no flagged position is a live key
-        first_repeat = int(order[repeat].min()) - held if repeat.any() else size
+        # a live key leads its run with +1, so every flagged position is past
+        # the live run, and pos gives its event
+        first_repeat = int(pos[order[repeat] - held].min()) if repeat.any() else size
         over = np.flatnonzero(np.cumsum(ps) > cfg.m_max - held)
         first_over = int(over[0]) if over.size else size
 
@@ -352,6 +372,7 @@ def read_chunks(
     """
     lineno = 1
     while lines := list(islice(f, _CHUNK_EVENTS)):
+        count = len(lines)
         chunk = _parse_block("".join(lines), n)
         if chunk is None:
             events = []
@@ -363,9 +384,12 @@ def read_chunks(
                     yield events_to_arrays(events)
                 raise
             chunk = events_to_arrays(events)
+            del events
+        # the block's lines are dropped before the consumer works on the chunk
+        del lines
         if chunk[0].size:
             yield chunk
-        lineno += len(lines)
+        lineno += count
 
 
 def format_event(e: EdgeEvent) -> str:

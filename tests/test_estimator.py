@@ -379,6 +379,27 @@ def test_copies_match_replay_through_sparsified_graph():
     assert outcomes[True] >= 20 and outcomes[False] >= 20
 
 
+def test_copy_graph_from_edges_matches_a_python_reference():
+    rng = np.random.default_rng(19)
+    graphs = [([], 0), ([], 3), ([(0, b) for b in range(1, 50)], 50)]  # empty, edgeless, a star
+    for size in (10, 60, 400):
+        # ids 10..19 of the 40 are isolated
+        ids = [x for x in range(40) if not 10 <= x < 20]
+        draw = rng.choice(ids, size=(size, 2)).tolist()
+        graphs.append((sorted({(a, b) for a, b in draw if a < b}), 40))
+    for pairs, num_vertices in graphs:
+        a = np.array([x for x, _ in pairs], dtype=np.int64)
+        b = np.array([y for _, y in pairs], dtype=np.int64)
+        g = _CopyGraph.from_edges(a, b, num_vertices)
+        rows = [sorted([y for x, y in pairs if x == v] + [x for x, y in pairs if y == v])
+                for v in range(num_vertices)]
+        assert g.indptr.tolist() == [0] + np.cumsum([len(r) for r in rows]).tolist()
+        assert g.indices.tolist() == [y for r in rows for y in r]
+        assert g.keys.tolist() == [x * num_vertices + y for x, y in pairs]
+        assert g.cum.tolist() == np.cumsum([len(r) * (len(r) - 1) // 2 for r in rows]).tolist()
+        assert g.indptr.dtype == g.indices.dtype == np.int64
+
+
 def test_copy_graph_samples_two_paths_uniformly():
     # vertex numbers 0..6, pairs sorted with a < b; P2 = 3 + 3 + 3 + 1 + 1 = 11.
     # Vertex 6, the highest, has an empty row, so a query such as (4, 6) lies

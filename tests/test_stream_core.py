@@ -231,6 +231,18 @@ def test_net_chunks_carries_the_live_set_across_chunks():
     assert list(zip(us.tolist(), vs.tolist())) == [(1, 2), (2, 3), (4, 5)]
 
 
+def _net_outcome(stream, cfg, size):
+    """``materialize``'s outcome for ``stream``, checked against ``net_chunks`` in chunks of ``size``."""
+    graphs, nets = [], []
+    want = contract_outcome(lambda: graphs.append(materialize(stream, cfg)))
+    us, vs, signs = events_to_arrays(stream)
+    chunks = [(us[i:i + size], vs[i:i + size], signs[i:i + size]) for i in range(0, us.size, size)]
+    assert contract_outcome(lambda: nets.append(net_chunks(chunks, cfg))) == want
+    if want is None:
+        assert list(zip(*(a.tolist() for a in nets[0]))) == sorted(graphs[0].edges())
+    return want
+
+
 def test_net_chunks_keeps_event_order_within_long_chunks():
     # thousands of events over 28 keys, so each key has many events per chunk
     events = mixed_update_stream(8, 4000, seed=5)
@@ -240,14 +252,61 @@ def test_net_chunks_keeps_event_order_within_long_chunks():
         if flip is not None:
             e = stream[flip]
             stream[flip] = EdgeEvent(e.u, e.v, -e.sign)
-        graphs = []
-        want = contract_outcome(lambda: graphs.append(materialize(stream, cfg)))
-        us, vs, signs = events_to_arrays(stream)
-        chunks = [(us[i:i + 1500], vs[i:i + 1500], signs[i:i + 1500]) for i in range(0, 4000, 1500)]
-        nets = []
-        assert contract_outcome(lambda: nets.append(net_chunks(chunks, cfg))) == want
-        if want is None:
-            assert list(zip(*(a.tolist() for a in nets[0]))) == sorted(graphs[0].edges())
+        _net_outcome(stream, cfg, 1500)
+
+
+def test_net_chunks_restores_event_order_among_equal_keys_beside_a_larger_live_set():
+    # 2,500 edges go live in the first chunk; the second chunk holds 2,000
+    # events on five keys, two of them carried live, so the live run is
+    # longer than the chunk and each key's run of events is long
+    rng = np.random.default_rng(18)
+    pairs = rng.permutation([(a, b) for a in range(1, 121) for b in range(a + 1, 121)]).tolist()
+    first = [EdgeEvent(a, b, 1) for a, b in pairs[:2500]]
+    carried, fresh = pairs[:2], pairs[2500:2503]
+    live = set(map(tuple, carried))
+    second = []
+    for a, b in rng.choice(carried + fresh, size=2000).tolist():
+        second.append(EdgeEvent(a, b, -1 if (a, b) in live else 1))
+        live ^= {(a, b)}
+    stream = first + second
+    cfg = StreamConfig(n=120, m_max=2510)
+    # numpy's default sort does not keep these ties in event order
+    us, vs, _ = events_to_arrays(second)
+    key = us * np.uint64(121) + vs
+    assert not np.array_equal(np.argsort(key), np.argsort(key, kind="stable"))
+    assert _net_outcome(stream, cfg, 2500) is None
+    for a, b in (carried[0], fresh[0]):  # runs that open with a delete and with an insert
+        run = [i for i, e in enumerate(stream) if (e.u, e.v) == (a, b) and i >= 2500]
+        for i in (run[0], run[len(run) // 2], run[-1]):
+            flipped = list(stream)
+            flipped[i] = EdgeEvent(a, b, -stream[i].sign)
+            kind, message = _net_outcome(flipped, cfg, 2500)
+            assert kind in (DuplicateInsertError, DeleteAbsentError)
+            assert message.startswith(f"event {i}: ")
+
+
+def test_net_chunks_at_the_largest_universe():
+    # n = 2^32 - 1, the universe of the file commands without --n: keys
+    # u*2^32 + v use all 64 bits
+    n = 2**32 - 1
+    cfg = StreamConfig(n=n, m_max=3)
+    raw = [(n - 2, n - 1, 1), (n - 1, n, 1), (1, n, 1), (n - 2, n - 1, -1), (2, n - 1, 1),
+           (1, n, -1), (n - 2, n - 1, 1)]
+    stream = [EdgeEvent(*t) for t in raw]
+    for size in (1, 2, 7):
+        assert _net_outcome(stream, cfg, size) is None
+    assert _net_outcome(stream[:4] + [EdgeEvent(n - 1, n, 1)], cfg, 2) == (
+        DuplicateInsertError, f"event 4: edge ({n - 1}, {n}) already live")
+    assert _net_outcome(stream[:5] + [EdgeEvent(n - 2, n - 1, -1)], cfg, 4) == (
+        DeleteAbsentError, f"event 5: edge ({n - 2}, {n - 1}) not live")
+    assert _net_outcome(stream[:2] + [EdgeEvent(n - 1, n + 1, 1)], cfg, 2) == (
+        OutOfUniverseError, f"event 2: endpoint outside [1, {n}]: ({n - 1}, {n + 1})")
+
+
+def test_net_chunks_refuses_a_chunk_its_event_positions_overflow():
+    big = np.broadcast_to(np.uint64(1), (1 << 31,))  # a view, nothing allocated
+    with pytest.raises(ValueError, match="chunk too large"):
+        net_chunks([(big, big, big.view(np.int64))], StreamConfig(n=5, m_max=5))
 
 
 def _read_outcome(text, n, reader):
