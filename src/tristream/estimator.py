@@ -7,18 +7,21 @@ leaves the edges live at the end.  Those feed a degree sketch (for the
 counters as every event) and K independently seeded colorings.  Each copy
 keeps the monochromatic live edges.  The live edges are sorted once, as
 distinct words row * V + neighbor, into one CSR adjacency over the V live
-vertices, and a several-color copy is that CSR with each row masked to its
-center's color: a CSR of its own, built without a sort, on which the
-greedy certification and the sampler run.  A copy that certifies enough
-pairwise independent 2-paths contributes one indicator: whether a
-uniformly sampled 2-path of its graph closes into a triangle.  The mean
-indicator estimates the transitivity alpha, and T3 = alpha * P2 / 3.  A
-stream with a length (a list, or an array triple) is netted as one
-chunk, so memory is O(events) for it.  Any other iterable, such as the
-chunks of ``stream_core.read_chunks`` that ``tristream estimate``
-passes, is netted chunk by chunk in O(m_max + chunk).  On top of that,
-the shared CSR takes O(live edges), and so does each several-color copy
-in turn.
+vertices.  A several-color copy is a mask over the live edges and the
+degrees from one bincount of its kept endpoints: they give its edge and
+2-path counts and the sampler's distribution, and two exact bounds on the
+greedy's count decide most verdicts.  Only a copy the bounds leave open
+masks the CSR's rows into a CSR of its own for the greedy certification,
+and a sampled center's row is its row of the shared CSR filtered to its
+color.  A copy that certifies enough pairwise independent 2-paths
+contributes one indicator: whether a uniformly sampled 2-path of its graph
+closes into a triangle.  The mean indicator estimates the transitivity
+alpha, and T3 = alpha * P2 / 3.  A stream with a length (a list, or an
+array triple) is netted as one chunk, so memory is O(events) for it.  Any
+other iterable, such as the chunks of ``stream_core.read_chunks`` that
+``tristream estimate`` passes, is netted chunk by chunk in
+O(m_max + chunk).  On top of that, the shared CSR takes O(live edges), and
+so does each several-color copy in turn.
 
 Copies come in groups that share one graph and one verdict: with one color
 all K copies keep the whole graph and form one group, otherwise each copy
@@ -231,6 +234,24 @@ class Report:
         return out
 
 
+def _draw_positions(rng, copy, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centers and two distinct row positions for ``count`` uniform 2-paths of ``copy``.
+
+    Each center comes with probability C(d,2)/P2 by inverse CDF over
+    ``copy.cum``, then two distinct positions i != j in its row uniformly.
+    numpy's bounded integers are exactly uniform, so every 2-path has
+    probability exactly 1/P2.  Needs p2_total > 0.  The Generator calls, in
+    this order and with these shapes, fix the indicators of a seeded
+    estimate.
+    """
+    c = copy.cum.searchsorted(rng.integers(0, copy.p2_total, size=count), side="right")
+    d = copy.degrees[c]
+    i = rng.integers(0, d)
+    j = rng.integers(0, d - 1)
+    j += j >= i
+    return c, i, j
+
+
 class _CopyGraph:
     """One copy's graph as CSR adjacency over the live vertices.
 
@@ -241,8 +262,8 @@ class _CopyGraph:
     graph as ``a*V + b`` in ascending order.
 
     ``from_edges`` builds the live graph once per estimate; with one color
-    every copy keeps it whole.  ``colored`` cuts a several-color copy out of
-    it: each row masked to its center's color, with the live graph's keys.
+    every copy keeps it whole, and a several-color copy is a ``_ColoredCopy``
+    of it.
     """
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, keys: np.ndarray):
@@ -269,39 +290,22 @@ class _CopyGraph:
         return cls(indptr, words % num_vertices, a * num_vertices + b)
 
     @cached_property
-    def rows(self) -> np.ndarray:
-        """The row of each entry of ``indices``, built on the first ``colored``."""
-        return np.repeat(np.arange(self.num_vertices), self.degrees)
+    def ends(self) -> tuple[np.ndarray, np.ndarray]:
+        """The endpoints (a, b) of the edges in ``keys`` order, built for the first colored copy."""
+        return np.divmod(self.keys, self.num_vertices)
 
-    def colored(self, colors: np.ndarray) -> "_CopyGraph":
-        """The copy that keeps the edges whose endpoints share a color.
-
-        Both ends of a 2-path of the copy have its center's color, so a pair
-        sampled from the copy is an edge of the copy iff it is an edge of
-        this graph: the copy shares ``keys``.
-        """
-        keep = colors.take(self.indices) == colors.take(self.rows)
-        kept = np.zeros(keep.size + 1, dtype=np.int64)
-        np.cumsum(keep, out=kept[1:])
-        return _CopyGraph(kept[self.indptr], self.indices.take(np.flatnonzero(keep)), self.keys)
+    @cached_property
+    def entry_edges(self) -> np.ndarray:
+        """The position in ``keys`` of each entry's edge, built for the first copy's own CSR."""
+        rows = np.repeat(np.arange(self.num_vertices), self.degrees)
+        lo, hi = np.minimum(rows, self.indices), np.maximum(rows, self.indices)
+        return self.keys.searchsorted(lo * self.num_vertices + hi)
 
     def sample_two_paths(
         self, rng: "np.random.Generator", count: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``count`` independent uniform 2-paths as arrays (u, center, w), u < w.
-
-        Each center comes with probability C(d,2)/P2 by inverse CDF over
-        ``cum``, then two distinct positions in its row uniformly.  numpy's
-        bounded integers are exactly uniform, so every 2-path has
-        probability exactly 1/P2.  Needs p2_total > 0.  The Generator calls,
-        in this order and with these shapes, fix the indicators of a seeded
-        estimate.
-        """
-        c = self.cum.searchsorted(rng.integers(0, self.p2_total, size=count), side="right")
-        d = self.degrees[c]
-        i = rng.integers(0, d)
-        j = rng.integers(0, d - 1)
-        j += j >= i
+        """``count`` independent uniform 2-paths as arrays (u, center, w), u < w."""
+        c, i, j = _draw_positions(rng, self, count)
         lo = self.indptr[c]
         x, y = self.indices[lo + i], self.indices[lo + j]
         return np.minimum(x, y), c, np.maximum(x, y)
@@ -315,22 +319,102 @@ class _CopyGraph:
         return found
 
 
-def _copy_groups(cfg, seeds, vertices, g: _CopyGraph) -> Iterator[tuple[_CopyGraph, bool, int]]:
+class _ColoredCopy:
+    """A several-color copy of the live graph ``g``: the edges whose endpoints share a color.
+
+    It holds what the verdict and the sampler need: the vertices' ``colors``,
+    ``keep`` over the live edges (``g.ends``), and the copy's ``degrees``
+    from one bincount of the kept endpoints, with ``cum``, ``m_prime``,
+    ``p2_total`` and ``max_degree``.  ``csr`` builds the copy's own CSR on
+    request.  A sampled center's row is its row of ``g`` filtered to its
+    color; it stays ascending, so positions i and j pick the pair they would
+    pick in the copy's own CSR.  Both ends of a 2-path of the copy have its
+    center's color, so a sampled pair is an edge of the copy iff it is an
+    edge of ``g``: ``has_edges`` searches ``g.keys``.
+    """
+
+    def __init__(self, g: _CopyGraph, colors: np.ndarray):
+        self.g, self.colors = g, colors
+        a, b = g.ends
+        self.keep = colors.take(a) == colors.take(b)
+        kept = np.flatnonzero(self.keep)
+        size = g.num_vertices
+        self.degrees = degrees = (
+            np.bincount(a.take(kept), minlength=size) + np.bincount(b.take(kept), minlength=size)
+        )
+        self.cum = np.cumsum(degrees * (degrees - 1) // 2)
+        self.m_prime = kept.size
+        self.p2_total = int(self.cum[-1]) if size else 0
+        self.max_degree = int(degrees.max(initial=0))
+
+    def csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """The copy's own CSR (indptr, indices): ``g``'s rows masked to the kept edges."""
+        indptr = np.zeros(self.degrees.size + 1, dtype=np.int64)
+        np.cumsum(self.degrees, out=indptr[1:])
+        entries = np.flatnonzero(self.keep.take(self.g.entry_edges))
+        return indptr, self.g.indices.take(entries)
+
+    def sample_two_paths(
+        self, rng: "np.random.Generator", count: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``count`` independent uniform 2-paths as arrays (u, center, w), u < w."""
+        c, i, j = _draw_positions(rng, self, count)
+        x, y = np.empty_like(i), np.empty_like(j)
+        g, colors = self.g, self.colors
+        for k, v in enumerate(c.tolist()):
+            row = g.indices[g.indptr[v]:g.indptr[v + 1]]
+            row = row[colors.take(row) == colors[v]]
+            x[k], y[k] = row[i[k]], row[j[k]]
+        return np.minimum(x, y), c, np.maximum(x, y)
+
+    def has_edges(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+        return self.g.has_edges(u, w)
+
+
+def _verdict_from_degrees(m_prime: int, p2_total: int, max_degree: int, s: int) -> bool | None:
+    """Whether the greedy would certify ``s`` paths, when the bounds of ``_copy_groups`` decide it.
+
+    None when they leave it open.
+    """
+    if min(p2_total, m_prime // 2) < s:
+        return False
+    if p2_total > (s - 1) * (9 * max_degree - 6):
+        return True
+    return None
+
+
+def _copy_groups(
+    cfg, seeds, vertices, g: _CopyGraph
+) -> Iterator[tuple[_CopyGraph | _ColoredCopy, bool, int]]:
     """(graph, qualified, count) per group of copies sharing one graph, in copy order.
 
     Every copy is cut from ``g``, the one CSR of the live edges over
     ``vertices``.  With one color all K copies keep it whole and form one
     group; a one-color group has no certification threshold: sampling is
     exactly uniform on the input graph, so any 2-path qualifies it.  With
-    more colors each copy is a group of its own, the CSR masked to its
-    coloring and certified by the greedy on that copy's own rows.
+    more colors each copy is a group of its own, a ``_ColoredCopy`` with its
+    degrees, and qualifies iff the greedy finds ``s`` independent 2-paths in
+    it.  Two exact bounds on the greedy's count decide most copies from the
+    degrees alone (m', P2' and d'max of the copy):
+
+    - count <= min(P2', m' // 2): independent 2-paths share no edge, and each has two.
+    - count >= P2' / (9 d'max - 6): the greedy's set is maximal, so each 2-path
+      shares a pair with a selected one; a pair lies on at most 3 d'max - 2
+      2-paths, and a selected path has 3 pairs.
+
+    So min(P2', m' // 2) < s fails the copy and P2' > (s - 1)(9 d'max - 6)
+    qualifies it.  Only a copy that neither decides builds its own CSR for
+    ``greedy_independent_count``.
     """
     if cfg.colors == 1:
         yield g, g.p2_total > 0, cfg.k
         return
     for seed_i in seeds:
-        copy = g.colored(ColoringFunction(seed_i, cfg.colors).colors_of(vertices))
-        yield copy, greedy_independent_count(copy.indptr, copy.indices, cfg.s) >= cfg.s, 1
+        copy = _ColoredCopy(g, ColoringFunction(seed_i, cfg.colors).colors_of(vertices))
+        ok = _verdict_from_degrees(copy.m_prime, copy.p2_total, copy.max_degree, cfg.s)
+        if ok is None:
+            ok = greedy_independent_count(*copy.csr(), cfg.s) >= cfg.s
+        yield copy, ok, 1
 
 
 def estimate_triangles(events, cfg: EstimatorConfig) -> Report:

@@ -51,9 +51,10 @@ def greedy_independent_count(indptr, indices, target: int | None = None) -> int:
     is kept iff none of its pairs is covered by a selected path.  Once
     {u, v} is covered no (u, v, w) can be kept, so ``u`` is skipped or its
     scan ends: O(d^2) set lookups at worst per center of degree d, O(d) on
-    a star.  Stops early at ``target``.  The estimator passes each
-    several-color copy's own CSR, so only that copy's centers of degree 2
-    or more are visited.
+    a star.  Stops early at ``target``.  The estimator calls it only for a
+    several-color copy whose verdict the degree bounds leave open, and
+    passes that copy's own CSR, so only its centers of degree 2 or more are
+    visited.
     """
     indptr, indices = np.asarray(indptr), np.asarray(indices)
     covered: set[tuple[int, int]] = set()

@@ -14,8 +14,9 @@ the center's neighbor set, and a draw is accepted with probability above
 ``SparsifiedGraph`` is the paper's incremental structure, for streams fed
 event by event.  The estimator does not use it: the estimate depends only
 on the final graph, so ``estimator`` nets the stream once, holds the live
-edges as one CSR adjacency, and builds each copy as that CSR with every row
-masked to its center's color under the same ``ColoringFunction``.
+edges as one CSR adjacency, and holds each copy as a mask over those edges,
+the ones whose endpoints share a color under the same ``ColoringFunction``,
+with the degrees it leaves.
 """
 
 import numpy as np

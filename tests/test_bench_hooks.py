@@ -35,6 +35,8 @@ def _tracer():
 def test_tracer_wraps_and_restores_the_package_names(tmp_path, capsys):
     path = tmp_path / "k4.txt"
     path.write_text("+ 1 2\n+ 1 3\n+ 1 4\n+ 2 3\n+ 2 4\n+ 3 4\n")
+    k6 = tmp_path / "k6.txt"
+    k6.write_text("".join(f"+ {u} {v}\n" for u in range(1, 7) for v in range(u + 1, 7)))
     originals = [getattr(owner, attr) for owner, attr in WRAPPED]
     tracer = _tracer()
     tracer.install()
@@ -42,6 +44,13 @@ def test_tracer_wraps_and_restores_the_package_names(tmp_path, capsys):
         assert all(getattr(o, a) is not f for (o, a), f in zip(WRAPPED, originals))
         argv = ["estimate", str(path), "--n", "4", "--m-max", "6", "--k-override", "4",
                 "--s-override", "1", "--colors-override", "2", "--seed", "1"]
+        assert cli.main(argv) == 0
+        # with s = 1 the degree bounds decide every copy, so the greedy never runs
+        assert not any(s[0] == "indep_paths.greedy_independent_count" for s in tracer.spans)
+        # on K6 with s = 2, a copy that keeps K5, K4 + K2 or two triangles is
+        # left open by the bounds (P2' <= 9 d'max - 6), so the greedy runs
+        argv = ["estimate", str(k6), "--n", "6", "--m-max", "15", "--k-override", "8",
+                "--s-override", "2", "--colors-override", "2", "--seed", "1"]
         assert cli.main(argv) == 0
         assert cli.main(["exact", str(path)]) == 0
     finally:
@@ -58,4 +67,4 @@ def test_tracer_wraps_and_restores_the_package_names(tmp_path, capsys):
         "stream_core.events_to_arrays", "indep_paths.greedy_independent_count",
         "two_path.build", "two_path.update_many", "two_path.estimate", "sparsifier.colors_of",
     }
-    assert tracer.counts["array_events"] == 6
+    assert tracer.counts["array_events"] == 6 + 15  # K4's events, then K6's

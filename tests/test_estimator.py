@@ -18,6 +18,7 @@ from tristream.estimator import (
     CopyDiagnostic,
     InvalidRangeError,
     NoQualifiedCopiesError,
+    _ColoredCopy,
     _CopyGraph,
     derive_config,
     estimate_triangles,
@@ -451,12 +452,14 @@ def test_colored_copy_samples_monochromatic_two_paths_uniformly():
     pairs = kept + cross
     colors = np.array([2, 1, 1, 1, 3, 1, 1, 1], dtype=np.uint64)
     a, b = (np.array(x) for x in zip(*sorted(pairs)))
-    copy = _CopyGraph.from_edges(a, b, 8).colored(colors)
+    copy = _ColoredCopy(_CopyGraph.from_edges(a, b, 8), colors)
     keep = colors[a] == colors[b]
     want = _CopyGraph.from_edges(a[keep], b[keep], 8)
-    for name in ("indptr", "indices", "degrees"):
-        assert np.array_equal(getattr(copy, name), getattr(want, name)), name
+    indptr, indices = copy.csr()
+    assert np.array_equal(indptr, want.indptr) and np.array_equal(indices, want.indices)
+    assert np.array_equal(copy.degrees, want.degrees) and np.array_equal(copy.cum, want.cum)
     assert (copy.m_prime, copy.p2_total) == (want.m_prime, want.p2_total) == (7, 11)
+    assert copy.max_degree == want.degrees.max() == 3
     adj = {x: set() for x in range(8)}
     for u, w in pairs:
         if colors[u] == colors[w]:
@@ -525,6 +528,37 @@ def test_colored_copies_match_a_csr_per_copy(monkeypatch, colors):
         else:
             verdicts.update(got[0].qualified)
     assert verdicts[True] and verdicts[False] and verdicts["none"]
+
+
+def test_decided_copies_skip_the_greedy(monkeypatch):
+    calls = []
+
+    def counted(indptr, indices, target=None):
+        calls.append(target)
+        return greedy_independent_count(indptr, indices, target)
+
+    monkeypatch.setattr(estimator, "greedy_independent_count", counted)
+    # 40 disjoint K6 with about a tenth of their edges dropped: each 2-color
+    # copy keeps P2' of 374 to 580 at d'max <= 5, above (s - 1)(9 d'max - 6)
+    # = 156, so the degree bounds qualify every copy
+    rng = random.Random(5)
+    edges = [(6 * c + u, 6 * c + v) for c in range(40) for u, v in complete_edges(6)
+             if rng.random() < 0.9]
+    events = edges_to_events(edges)
+    cfg = derive_config(n=240, m_max=len(edges), k_override=30, s_override=5,
+                        colors_override=2, seed=3)
+    got = _estimate_outcome(events, cfg)
+    assert calls == [] and got[1]["ell"] == 30
+    with monkeypatch.context() as mp:
+        mp.setattr(estimator, "_copy_groups", _reference_copy_groups)
+        assert got == _estimate_outcome(events, cfg)
+    # the four-color graph of test_four_color_report_is_frozen, whose copies'
+    # greedy counts spread around s = 35, leaves copies to the greedy
+    edges, n = planted_cluster_edges(160, 480)
+    cfg = derive_config(n=n, m_max=len(edges), k_override=50, s_override=35,
+                        colors_override=4, seed=9)
+    estimate_triangles(edges_to_events(edges), cfg)
+    assert calls and set(calls) == {35}
 
 
 def test_colored_copies_share_one_csr(monkeypatch):

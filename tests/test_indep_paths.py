@@ -7,7 +7,13 @@ import pytest
 from conftest import adj_dict, adjacency, random_graph_edges
 from tristream import estimator
 from tristream.cli import main
-from tristream.estimator import NoQualifiedCopiesError, _CopyGraph, derive_config, estimate_triangles
+from tristream.estimator import (
+    NoQualifiedCopiesError,
+    _CopyGraph,
+    _verdict_from_degrees,
+    derive_config,
+    estimate_triangles,
+)
 from tristream.generators import (
     complete_bipartite_edges,
     complete_edges,
@@ -107,7 +113,8 @@ def test_greedy_matches_reference_on_estimator_copies(monkeypatch):
     copies = iter(())
 
     def checked(indptr, indices, target=None):
-        # the greedy gets the copy's own CSR, so it visits only the copy's centers
+        # the greedy gets the copy's own CSR, so it visits only the copy's
+        # centers; only the copies the degree bounds leave open reach it
         want = next(copies)
         assert np.array_equal(indptr, want.indptr) and np.array_equal(indices, want.indices)
         for t in _TARGETS + (target,):
@@ -117,17 +124,74 @@ def test_greedy_matches_reference_on_estimator_copies(monkeypatch):
         return count
 
     monkeypatch.setattr(estimator, "greedy_independent_count", checked)
+    greedy_calls = 0
     for seed in range(6):
         events, n = with_churn(gnp_edges(40, 0.3, seed=seed), 30, seed=seed, n_base=40)
         cfg = derive_config(n=n, m_max=len(events), k_override=8, s_override=3 + 4 * seed,
                             colors_override=2 + seed % 3, seed=seed)
-        copies = _kept_copies(events, cfg)
+        open_copies = []
+        for copy in _kept_copies(events, cfg):
+            verdict = _verdict_from_degrees(copy.m_prime, copy.p2_total,
+                                            int(copy.degrees.max(initial=0)), cfg.s)
+            if verdict is None:
+                open_copies.append(copy)
+            else:
+                count = greedy_independent_count(copy.indptr, copy.indices, cfg.s)
+                assert verdict == (count >= cfg.s)
+                verdicts.append(verdict)
+        decided = len(verdicts)
+        copies = iter(open_copies)
         try:
             estimate_triangles(events, cfg)
         except NoQualifiedCopiesError:
             pass
         assert next(copies, None) is None
+        assert len(verdicts) == decided + len(open_copies)
+        greedy_calls += len(open_copies)
     assert len(verdicts) == 48 and True in verdicts and False in verdicts
+    assert 0 < greedy_calls < 48
+
+
+def _bound_cases():
+    """Graphs as edge lists: G(n, p) with n <= 30, stars, matchings, a lone
+    triangle, disjoint small clusters, and graphs with no edge at all."""
+    rng = random.Random(31)
+    yield []
+    yield [(1, 2), (1, 3), (2, 3)]
+    for d in range(1, 13):
+        yield star_edges(d + 1)
+    for k in (1, 2, 5, 12):
+        yield [(u, u + 1) for u in range(1, 2 * k, 2)]
+    for _ in range(10):
+        edges, base = [], 0
+        for _ in range(rng.randint(1, 8)):
+            size = rng.randint(2, 6)
+            edges += [(base + u, base + v) for u, v in complete_edges(size) if rng.random() < 0.8]
+            base += size
+        yield edges
+    for _ in range(150):
+        n = rng.randint(2, 30)
+        yield gnp_edges(n, rng.uniform(0.02, 0.9), seed=rng.randrange(2**31))
+
+
+def test_degree_bounds_give_the_greedy_verdict_whenever_they_decide():
+    # a bound that decides must agree with the greedy for every s from 1 to
+    # its count + 2; each of the two bounds decides some of these cases
+    decided = {False: 0, True: 0}
+    seen = set()
+    for edges in _bound_cases():
+        indptr, indices = csr_from_adj(adj_dict(edges))
+        d = np.diff(indptr)
+        m, p2, dmax = indices.size // 2, int((d * (d - 1) // 2).sum()), int(d.max(initial=0))
+        seen.update(name for name, hit in (("m=0", m == 0), ("p2=0", p2 == 0), ("dmax=1", dmax == 1))
+                    if hit)
+        for s in range(1, greedy_independent_count(indptr, indices) + 3):
+            verdict = _verdict_from_degrees(m, p2, dmax, s)
+            if verdict is not None:
+                assert verdict == (greedy_independent_count(indptr, indices, s) >= s), (edges, s)
+                decided[verdict] += 1
+    assert decided[False] and decided[True]
+    assert seen == {"m=0", "p2=0", "dmax=1"}
 
 
 def test_assert_independent_is_one_path_per_vertex_pair():
