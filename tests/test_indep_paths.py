@@ -183,8 +183,8 @@ def test_degree_bounds_give_the_greedy_verdict_whenever_they_decide():
         indptr, indices = csr_from_adj(adj_dict(edges))
         d = np.diff(indptr)
         m, p2, dmax = indices.size // 2, int((d * (d - 1) // 2).sum()), int(d.max(initial=0))
-        seen.update(name for name, hit in (("m=0", m == 0), ("p2=0", p2 == 0), ("dmax=1", dmax == 1))
-                    if hit)
+        cases = (("m=0", m == 0), ("p2=0", p2 == 0), ("dmax=1", dmax == 1))
+        seen.update(name for name, hit in cases if hit)
         for s in range(1, greedy_independent_count(indptr, indices) + 3):
             verdict = _verdict_from_degrees(m, p2, dmax, s)
             if verdict is not None:
