@@ -5,12 +5,14 @@ netted once: a sorting pass per chunk checks the turnstile contract and
 leaves the edges live at the end.  Those feed a degree sketch (for the
 2-path count; the sketch is linear, so the netted edges give the same
 counters as every event) and K independently seeded colorings.  Each copy
-keeps the monochromatic live edges.  The live edges are sorted once, as
-distinct words row * V + neighbor, into one CSR adjacency over the V live
-vertices.  A several-color copy is a mask over the live edges and the
-degrees from one bincount of its kept endpoints: they give its edge and
-2-path counts and the sampler's distribution, and two exact bounds on the
-greedy's count decide most verdicts.  Only a copy the bounds leave open
+keeps the monochromatic live edges.  The sketch's one sort of the endpoints
+(``TwoPathEstimator.update_many``) also numbers the V live vertices, and the
+live edges are sorted once, as distinct words row * V + neighbor, into one
+CSR adjacency over them.  Closure checks search its sorted edge keys in
+ascending query order.  A several-color copy is a mask over the live edges
+and the degrees from one bincount of its kept endpoints: they give its edge
+and 2-path counts and the sampler's distribution, and two exact bounds on
+the greedy's count decide most verdicts.  Only a copy the bounds leave open
 masks the CSR's rows into a CSR of its own for the greedy certification,
 and a sampled center's row is its row of the shared CSR filtered to its
 color.  A copy that certifies enough pairwise independent 2-paths
@@ -311,11 +313,19 @@ class _CopyGraph:
         return np.minimum(x, y), c, np.maximum(x, y)
 
     def has_edges(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Whether each pair (u, w), u < w, is an edge: one search in ``keys``."""
+        """Whether each pair (u, w), u < w, is an edge: one search in ``keys``.
+
+        The queries are searched in ascending order, which walks ``keys``
+        forward, and the answers are put back in query order.
+        """
         q = u * self.num_vertices + w
+        order = q.argsort()
+        q = q.take(order)
         pos = self.keys.searchsorted(q)
-        found = pos < self.keys.size
-        found[found] = self.keys[pos[found]] == q[found]
+        hit = pos < self.keys.size
+        hit[hit] = self.keys.take(pos[hit]) == q[hit]
+        found = np.empty_like(hit)
+        found[order] = hit
         return found
 
 
@@ -432,13 +442,8 @@ def estimate_triangles(events, cfg: EstimatorConfig) -> Report:
     us, vs = net_chunks(chunks, StreamConfig(n=cfg.n, m_max=cfg.m_max))
 
     tp = TwoPathEstimator(cfg.n, cfg.epsilon, cfg.delta, seed=mix2(cfg.seed, _SKETCH_TAG))
-    tp.update_many((us, vs, np.ones(us.size, dtype=np.int64)))
+    vertices, ends = tp.update_many((us, vs, np.ones(us.size, dtype=np.int64)))
     p2_hat = max(0.0, tp.estimate())
-
-    # update_many above sorts the same endpoints once more; sharing that sort
-    # would reach into the sketch past TwoPathEstimator to save one unique,
-    # 1-6% of an estimate on the benchmark's workloads.
-    vertices, ends = np.unique(np.concatenate([us, vs]), return_inverse=True)
     g = _CopyGraph.from_edges(ends[:us.size], ends[us.size:], vertices.size)
     del us, vs, ends
 

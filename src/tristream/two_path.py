@@ -23,22 +23,22 @@ class TwoPathEstimator:
         self.sketch.update_many([e.u, e.v], [e.sign, e.sign])
         self.m_net += e.sign
 
-    def update_many(self, events) -> None:
+    def update_many(self, events) -> tuple[np.ndarray, np.ndarray]:
         """Batched ingest; identical counters to event-at-a-time updates.
 
         The sketch is linear, so per-vertex net weights are aggregated first
-        and written in one kernel pass.
+        and written in one kernel pass.  Returns that sort of the endpoints:
+        the distinct ids, ascending, and each endpoint's index among them,
+        first every ``u`` then every ``v``, so ``ids[index]`` is
+        ``concatenate([us, vs])``.  An empty stream gives two empty arrays.
         """
         us, vs, signs = events_to_arrays(events)
-        if us.size == 0:
-            return
-        ids = np.concatenate([us, vs])
-        w = np.concatenate([signs, signs])
-        uniq, inverse = np.unique(ids, return_inverse=True)
+        uniq, inverse = np.unique(np.concatenate([us, vs]), return_inverse=True)
         net = np.zeros(uniq.size, dtype=np.int64)
-        np.add.at(net, inverse, w)
+        np.add.at(net, inverse, np.concatenate([signs, signs]))
         self.sketch.update_many(uniq, net)
         self.m_net += int(signs.sum())
+        return uniq, inverse
 
     def estimate(self) -> float:
         """May be negative on noisy sketches; callers clamp as needed."""

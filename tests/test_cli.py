@@ -265,6 +265,25 @@ def test_module_runs_as_a_script(tmp_path):
     assert json.loads(done.stdout)["t3"] == 4
 
 
+def test_estimate_leaves_numpy_ma_unloaded(tmp_path):
+    # np.median imports numpy.ma on its first call; the sketch's readout
+    # takes its median without it, so a fresh estimate never pays that import
+    path = tmp_path / "k5.txt"
+    path.write_text("".join(f"+ {u} {v}\n" for u in range(1, 6) for v in range(u + 1, 6)))
+    src = str(Path(tristream.__file__).resolve().parent.parent)
+    code = (
+        "import contextlib, io, sys\n"
+        "from tristream.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        f"    code = main(['estimate', {str(path)!r}, '--n', '5', '--m-max', '10', '--k-override', '30'])\n"
+        "print(code, len(out.getvalue()) > 0, 'numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert done.stdout.split() == ["0", "True", "False"], done.stderr
+
+
 def test_estimate_reports_the_first_violation_in_file_order(tmp_path, capsys):
     # the duplicate insert on line 3 comes before the bad line 4
     path = tmp_path / "mixed.txt"

@@ -199,6 +199,7 @@ def test_kernel_at_default_dims_and_budget_edge():
         ref = _scalar_counters(sk, [1, partner], weights)
         assert sk.counters.tolist() == ref
         assert max(abs(c) for row in ref for c in row) in ((1 << 62) - 1, 1 << 61)
+        assert sk.estimate() == _median_readout(sk.counters)
     with pytest.raises(CounterOverflowError):
         sk.update_many([2], [1])
 
@@ -216,6 +217,32 @@ def test_kernel_memory_is_bounded_by_its_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 8_000_000
+
+
+def _median_readout(counters):
+    """The readout as ``np.median`` of the rows' sums of squares."""
+    return float(np.median((counters.astype(np.float64) ** 2).sum(axis=1)))
+
+
+def test_estimate_equals_the_median_of_row_sums_bit_for_bit():
+    # The readout squares and sums 16 rows at a time and takes the middle of
+    # the sorted sums.  1, 2, 7 and 144 rows give odd and even medians, one
+    # partial block and nine full ones; the counters are random sketches,
+    # then random int64 values and the +-(2^62 - 1) extremes of the weight
+    # budget, written straight into the counters.
+    rng = np.random.default_rng(23)
+    for rows in (1, 2, 7, 144):
+        for cols in (1, 3, 2400):
+            for seed in range(4):
+                sk = F2Sketch(5_000, rows=rows, cols=cols, seed=seed)
+                items = rng.choice(np.arange(1, 5_001), size=rng.integers(1, 400), replace=False)
+                sk.update_many(items, rng.integers(-40, 41, size=items.size))
+                assert sk.estimate() == _median_readout(sk.counters)
+            big = rng.integers(-(1 << 62) + 1, 1 << 62, size=rows * cols)
+            edge = rng.choice([-1, 1], size=rows * cols) * ((1 << 62) - 1)
+            for counters in (big, edge):
+                sk._counters = counters
+                assert sk.estimate() == _median_readout(sk.counters)
 
 
 def test_single_cell_unbiasedness():

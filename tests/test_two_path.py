@@ -76,3 +76,21 @@ def test_accepts_prebuilt_arrays():
     b = TwoPathEstimator(5, epsilon=1.0, delta=0.5, seed=1)
     b.update_many(events_to_arrays(events))
     assert np.array_equal(a.sketch.counters, b.sketch.counters)
+
+
+def test_update_many_returns_its_sort_of_the_endpoints():
+    # the distinct ids it sketched and each endpoint's index among them, us
+    # first: the estimator numbers the live vertices with them
+    events, n = with_churn(complete_edges(9), 40, seed=3)
+    us, vs, _ = events_to_arrays(events)
+    tp = TwoPathEstimator(n, epsilon=1.0, delta=0.5, seed=6)
+    ids, index = tp.update_many(events)
+    assert np.array_equal(ids, np.unique(np.concatenate([us, vs])))
+    assert np.array_equal(ids[index], np.concatenate([us, vs]))
+    plain = TwoPathEstimator(n, epsilon=1.0, delta=0.5, seed=6)
+    for e in events:
+        plain.update(e)
+    assert np.array_equal(tp.sketch.counters, plain.sketch.counters)
+    assert tp.m_net == plain.m_net == 36
+    ids, index = TwoPathEstimator(5, epsilon=1.0, delta=0.5).update_many([])
+    assert ids.size == index.size == 0
