@@ -36,6 +36,7 @@ from .hashing import mix2
 from .indep_paths import HasIsolatedEdgesError, NotConnectedError, verify_lower_bounds
 from .oracles import graph_stats
 from .stream_core import (
+    MAX_ID,
     AdjacencyGraph,
     EdgeEvent,
     StreamConfig,
@@ -46,9 +47,6 @@ from .stream_core import (
 
 # Unused here, but bench/spans.py wraps these names on this module.
 from .stream_core import materialize, read_stream  # noqa: F401
-
-# The largest vertex id whose edge key u*(n+1) + v fits in 64 bits.
-_MAX_ID = 2**32 - 1
 
 
 def _open_stream(path: str):
@@ -63,11 +61,12 @@ def _live_edges(path: str, n: int | None) -> tuple[list[tuple[int, int]], int]:
 
     The file is read and checked chunk by chunk, as ``estimate`` reads it:
     the first violation in file order is reported, and memory is
-    O(live edges + chunk).  The universe is ``n``, or else ``_MAX_ID``, with
-    no capacity bound.  The echo is ``n``, or else the largest endpoint
-    read (at least 2).
+    O(live edges + chunk).  The universe is ``n``, or else ``MAX_ID``, with
+    no capacity bound, checked before the file is opened.  The echo is
+    ``n``, or else the largest endpoint read (at least 2).
     """
-    universe = n if n is not None else _MAX_ID
+    universe = n if n is not None else MAX_ID
+    cfg = StreamConfig(n=universe, m_max=sys.maxsize)
     top = 2
 
     def tracked(chunks):
@@ -78,7 +77,7 @@ def _live_edges(path: str, n: int | None) -> tuple[list[tuple[int, int]], int]:
 
     with _open_stream(path) as f:
         chunks = tracked(read_chunks(f, universe))
-        us, vs = net_chunks(chunks, StreamConfig(n=universe, m_max=sys.maxsize))
+        us, vs = net_chunks(chunks, cfg)
     return list(zip(us.tolist(), vs.tolist())), (n if n is not None else top)
 
 
@@ -95,18 +94,18 @@ def _final_graph(path: str, n: int | None) -> tuple[AdjacencyGraph, int]:
 
 
 def _cmd_estimate(args):
+    cfg = derive_config(
+        n=args.n,
+        m_max=args.m_max,
+        epsilon=args.epsilon,
+        delta=args.delta,
+        alpha_min=args.alpha_min,
+        seed=args.seed,
+        k_override=args.k_override,
+        s_override=args.s_override,
+        colors_override=args.colors_override,
+    )
     with _open_stream(args.stream) as f:
-        cfg = derive_config(
-            n=args.n,
-            m_max=args.m_max,
-            epsilon=args.epsilon,
-            delta=args.delta,
-            alpha_min=args.alpha_min,
-            seed=args.seed,
-            k_override=args.k_override,
-            s_override=args.s_override,
-            colors_override=args.colors_override,
-        )
         # reads and checks the stream chunk by chunk, first violation in file order
         report = estimate_triangles(read_chunks(f, args.n), cfg)
     payload = report.to_dict(diagnostics=args.diagnostics)

@@ -47,8 +47,6 @@ class ColoringFunction:
         The remainder is taken as z - (z // c) * c, since numpy divides uint64
         by a scalar several times faster than it takes ``%``.
         """
-        if self.colors == 1:
-            return np.ones(len(vs), dtype=np.uint64)
         z = mix2_array(seed=self.seed, xs=vs)
         c = np.uint64(self.colors)
         z -= z // c * c

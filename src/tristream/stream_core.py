@@ -25,6 +25,9 @@ import numpy as np
 # events per chunk that ``event_chunks`` cuts from an EdgeEvent iterator.
 _CHUNK_EVENTS = 1 << 16
 
+# The largest vertex id whose edge key u*(n+1) + v fits in 64 bits.
+MAX_ID = 2**32 - 1
+
 
 class StreamError(ValueError):
     """Base class for stream contract violations."""
@@ -194,14 +197,13 @@ def net_chunks(chunks, cfg: StreamConfig) -> tuple[np.ndarray, np.ndarray]:
     ``ValueError``.  A stable sort then merges the two sorted runs, live
     keys first among equal keys, so a chunk costs O(live + chunk log chunk).
     A chunk is checked whole before the next one is read, so the
-    first violation in a chunk is the stream's first.  The endpoint arrays
-    are read as signed 64-bit integers, so a negative endpoint that
-    ``events_to_arrays`` stored as its uint64 bit pattern is reported as
-    ``materialize`` reports it.  Returns (us, vs) of the edges live at the
-    end as uint64 arrays, sorted by (u, v).
+    first violation in a chunk is the stream's first.  The keys fit in 64
+    bits while n is at most ``MAX_ID``; a larger universe raises
+    ``ValueError``.  Returns (us, vs) of the edges live at the end as int64
+    arrays, sorted by (u, v).
     """
     n = cfg.n
-    if n >= 1 << 32:
+    if n > MAX_ID:
         raise ValueError(f"universe too large for 64-bit edge keys: n={n}")
     base = np.uint64(n + 1)
     live = np.empty(0, dtype=np.uint64)
@@ -212,16 +214,15 @@ def net_chunks(chunks, cfg: StreamConfig) -> tuple[np.ndarray, np.ndarray]:
             continue
         if size >= 1 << 31:
             raise ValueError(f"chunk too large to sort by event position: {size} events")
-        su, sv = us.view(np.int64), vs.view(np.int64)
-        malformed = (su == sv) | (su > sv) | (np.abs(signs) != 1) | (su < 1) | (sv > n)
+        malformed = (us == vs) | (us > vs) | (np.abs(signs) != 1) | (us < 1) | (vs > n)
         first_bad = int(np.argmax(malformed))
         k = first_bad if malformed[first_bad] else size
         del malformed
         # every event before k is well formed; the order checks run on those
         ps = signs[:k]
         held = live.size
-        ck = us[:k].astype(np.uint64, copy=False) * base
-        ck += vs[:k].astype(np.uint64, copy=False)
+        ck = np.multiply(us[:k], base, dtype=np.uint64, casting="unsafe")
+        np.add(ck, vs[:k], out=ck, dtype=np.uint64, casting="unsafe")
         # The default sort may leave equal keys in any order; sorting the
         # words (run << 32) | position puts each run back in event order.
         pos = np.argsort(ck)
@@ -251,7 +252,7 @@ def net_chunks(chunks, cfg: StreamConfig) -> tuple[np.ndarray, np.ndarray]:
 
         i = min(first_repeat, first_over, k)
         if i < size:
-            u, v, sign = int(su[i]), int(sv[i]), int(signs[i])
+            u, v, sign = int(us[i]), int(vs[i]), int(signs[i])
             if i == first_repeat and sign == 1:
                 err = DuplicateInsertError(f"edge ({u}, {v}) already live")
             elif i == first_repeat:
@@ -267,7 +268,9 @@ def net_chunks(chunks, cfg: StreamConfig) -> tuple[np.ndarray, np.ndarray]:
         last = np.ones(key.size, dtype=bool)
         last[:-1] = ~same
         live = key[last & (s == 1)]
-    return live // base, live % base
+    us, vs = np.empty((2, live.size), dtype=np.int64)
+    np.divmod(live, base, out=(us, vs), casting="unsafe")
+    return us, vs
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +356,7 @@ def _parse_block(text: str, n: int | None):
     lo, hi = np.minimum(u, v), np.maximum(u, v)
     if (lo == hi).any() or (lo < 1).any() or (n is not None and (hi > n).any()):
         return None
-    return lo.view(np.uint64), hi.view(np.uint64), signs
+    return lo, hi, signs
 
 
 def read_chunks(
@@ -367,8 +370,8 @@ def read_chunks(
     block is read again by ``iter_stream`` from its first line number; if it
     raises, the events before the bad line come as a chunk first, so that a
     consumer that checks each chunk before asking for the next meets
-    violations in file order.  Endpoints are normalized (u < v) and stored in
-    the uint64 form of ``events_to_arrays``; chunks are never empty.
+    violations in file order.  Endpoints are normalized (u < v) and int64,
+    as ``events_to_arrays`` gives them; chunks are never empty.
     """
     lineno = 1
     while lines := list(islice(f, _CHUNK_EVENTS)):
@@ -401,11 +404,6 @@ def write_stream(events: Iterable[EdgeEvent], f: IO[str]) -> None:
         f.write(format_event(e) + "\n")
 
 
-def _endpoints(x) -> np.ndarray:
-    x = np.ascontiguousarray(x)
-    return x if x.dtype == np.uint64 else x.astype(np.int64, copy=False).view(np.uint64)
-
-
 def event_chunks(events) -> Iterator:
     """A stream cut into the chunks that ``events_to_arrays`` converts, in order.
 
@@ -433,18 +431,16 @@ def events_to_arrays(events) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical array form (u, v, sign) used by the batched ingest paths.
 
     Accepts any iterable of EdgeEvent, generators included, or an
-    already-built array triple, whose uint64 endpoint arrays pass through.  A
-    tuple of three EdgeEvents is three events, not a triple.  Any other
-    endpoints are read as 64-bit signed integers and stored as their uint64
-    bit pattern, so a negative endpoint wraps the same way in every input;
-    ``net_chunks`` reads them back signed.
+    ``(us, vs, signs)`` triple of arrays or lists; int64 arrays pass through.
+    A tuple of three EdgeEvents is three events, not a triple.  Every field
+    is read as int64, so an id outside the int64 range raises
+    ``OverflowError`` in every input form.
     """
     if isinstance(events, tuple) and len(events) == 3 and not isinstance(events[0], EdgeEvent):
-        u, v, s = events
-        return _endpoints(u), _endpoints(v), np.ascontiguousarray(s, dtype=np.int64)
+        return tuple(np.ascontiguousarray(x, dtype=np.int64) for x in events)
     if not hasattr(events, "__len__"):
         events = list(events)
-    us = np.fromiter((e.u for e in events), dtype=np.int64, count=len(events)).view(np.uint64)
-    vs = np.fromiter((e.v for e in events), dtype=np.int64, count=len(events)).view(np.uint64)
+    us = np.fromiter((e.u for e in events), dtype=np.int64, count=len(events))
+    vs = np.fromiter((e.v for e in events), dtype=np.int64, count=len(events))
     ss = np.fromiter((e.sign for e in events), dtype=np.int64, count=len(events))
     return us, vs, ss

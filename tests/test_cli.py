@@ -139,6 +139,18 @@ def test_missing_file_exits_2(tmp_path, capsys):
     assert json.loads(out)["error"]["type"] == "FileNotFoundError"
 
 
+@pytest.mark.parametrize("argv, kind", [
+    (["estimate", "--n", "1", "--m-max", "5"], "InvalidRangeError"),
+    (["exact", "--n", "1"], "ValueError"),
+    (["doulion", "--p", "0"], "ValueError"),
+])
+def test_parameter_errors_come_before_a_missing_file(tmp_path, capsys, argv, kind):
+    command, *options = argv
+    code, out = run_cli([command, str(tmp_path / "missing.txt"), *options], capsys)
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == kind
+
+
 def test_doulion_full_keep_and_validation(tmp_path, capsys):
     code, out = run_cli(["gen", "complete", "6"], capsys)
     path = tmp_path / "k6.txt"

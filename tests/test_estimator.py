@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -318,6 +319,13 @@ def test_negative_endpoint_is_out_of_universe():
     for stream in (events, arrays, lists):
         with pytest.raises(OutOfUniverseError, match=r"^event 1: endpoint outside \[1, 5\]: \(-1, 2\)$"):
             estimate_triangles(stream, cfg)
+    # ids past the int64 range overflow in every form, lists included
+    beyond = ([2**63, 1], [2**63 + 1, 2], [1, 1])
+    for stream in ([EdgeEvent(*t) for t in zip(*beyond)], beyond):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError):
+                estimate_triangles(stream, cfg)
 
 
 def _estimate_or_diagnostics(events, cfg):

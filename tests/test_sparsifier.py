@@ -333,7 +333,7 @@ def test_block_failing_part_way_keeps_its_prefix():
                             "already in the sparsified graph"))
             for (u, v), sign, kind, words in bad:
                 g = SparsifiedGraph(n, coloring)
-                block = (np.append(us[:i], np.uint64(u)), np.append(vs[:i], np.uint64(v)),
+                block = (np.append(us[:i], u), np.append(vs[:i], v),
                          np.append(signs[:i], sign))
                 with pytest.raises(kind) as info:
                     g.apply_events(*block)

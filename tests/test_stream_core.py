@@ -122,7 +122,7 @@ def test_format_event():
 def test_events_to_arrays_shapes_and_passthrough():
     events = [EdgeEvent(1, 2, 1), EdgeEvent(2, 5, -1)]
     us, vs, signs = events_to_arrays(events)
-    assert us.dtype == np.uint64 and vs.dtype == np.uint64 and signs.dtype == np.int64
+    assert us.dtype == vs.dtype == signs.dtype == np.int64
     assert us.tolist() == [1, 2] and vs.tolist() == [2, 5] and signs.tolist() == [1, -1]
     again = events_to_arrays((us, vs, signs))
     assert again[0] is us and again[2] is signs
@@ -182,7 +182,7 @@ def test_net_chunks_nets_churn_to_the_final_edges():
     cfg = StreamConfig(n=9, m_max=3)
     raw = [(1, 2, 1), (4, 5, 1), (1, 2, -1), (2, 9, 1), (1, 2, 1), (4, 5, -1)]
     us, vs = net_chunks([events_to_arrays([EdgeEvent(*t) for t in raw])], cfg)
-    assert us.dtype == np.uint64 and list(zip(us.tolist(), vs.tolist())) == [(1, 2), (2, 9)]
+    assert us.dtype == np.int64 and list(zip(us.tolist(), vs.tolist())) == [(1, 2), (2, 9)]
     us, vs = net_chunks([events_to_arrays([])], cfg)
     assert us.size == 0 and vs.size == 0
 
@@ -199,7 +199,7 @@ def test_net_chunks_agrees_with_one_chunk_at_every_chunk_size(case, size):
     want = contract_outcome(lambda: whole.append(net_chunks([(us, vs, signs)], cfg)))
     assert contract_outcome(lambda: cut.append(net_chunks(chunks, cfg))) == want
     if want is None:
-        assert all(np.array_equal(a, b) and b.dtype == np.uint64 for a, b in zip(*whole, *cut))
+        assert all(np.array_equal(a, b) and b.dtype == np.int64 for a, b in zip(*whole, *cut))
 
 
 def test_net_chunks_carries_the_live_set_across_chunks():
@@ -272,7 +272,7 @@ def test_net_chunks_restores_event_order_among_equal_keys_beside_a_larger_live_s
     cfg = StreamConfig(n=120, m_max=2510)
     # numpy's default sort does not keep these ties in event order
     us, vs, _ = events_to_arrays(second)
-    key = us * np.uint64(121) + vs
+    key = (us * 121 + vs).astype(np.uint64)  # the keys net_chunks sorts
     assert not np.array_equal(np.argsort(key), np.argsort(key, kind="stable"))
     assert _net_outcome(stream, cfg, 2500) is None
     for a, b in (carried[0], fresh[0]):  # runs that open with a delete and with an insert
@@ -324,7 +324,7 @@ def _by_read_stream(f, n):
 def _by_read_chunks(f, n):
     out = []
     for us, vs, signs in read_chunks(f, n):
-        assert us.dtype == vs.dtype == np.uint64 and signs.dtype == np.int64
+        assert us.dtype == vs.dtype == signs.dtype == np.int64
         assert 0 < us.size <= stream_core._CHUNK_EVENTS
         out += zip(us.tolist(), vs.tolist(), signs.tolist())
     return out
