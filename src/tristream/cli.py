@@ -62,8 +62,9 @@ def _live_edges(path: str, n: int | None) -> tuple[list[tuple[int, int]], int]:
     The file is read and checked chunk by chunk, as ``estimate`` reads it:
     the first violation in file order is reported, and memory is
     O(live edges + chunk).  The universe is ``n``, or else ``MAX_ID``, with
-    no capacity bound, checked before the file is opened.  The echo is
-    ``n``, or else the largest endpoint read (at least 2).
+    no capacity bound; ``StreamConfig`` refuses an ``n`` below 2 or above
+    ``MAX_ID`` before the file is opened.  The echo is ``n``, or else the
+    largest endpoint read (at least 2).
     """
     universe = n if n is not None else MAX_ID
     cfg = StreamConfig(n=universe, m_max=sys.maxsize)
@@ -74,6 +75,7 @@ def _live_edges(path: str, n: int | None) -> tuple[list[tuple[int, int]], int]:
         for chunk in chunks:
             top = max(top, int(chunk[1].max()))
             yield chunk
+            del chunk  # not held while the next chunk is read
 
     with _open_stream(path) as f:
         chunks = tracked(read_chunks(f, universe))
@@ -81,13 +83,18 @@ def _live_edges(path: str, n: int | None) -> tuple[list[tuple[int, int]], int]:
     return list(zip(us.tolist(), vs.tolist())), (n if n is not None else top)
 
 
-def _final_graph(path: str, n: int | None) -> tuple[AdjacencyGraph, int]:
-    """The graph live at the end of a stream file, and the universe to echo."""
-    edges, n = _live_edges(path, n)
+def _graph_of(edges) -> AdjacencyGraph:
+    """An ``AdjacencyGraph`` of a list of distinct edges."""
     graph = AdjacencyGraph()
     for u, v in edges:
         graph.insert(u, v)
-    return graph, n
+    return graph
+
+
+def _final_graph(path: str, n: int | None) -> tuple[AdjacencyGraph, int]:
+    """The graph live at the end of a stream file, and the universe to echo."""
+    edges, n = _live_edges(path, n)
+    return _graph_of(edges), n
 
 
 # -- commands (each returns (payload | None, exit_code)) ----------------
@@ -118,43 +125,27 @@ def _cmd_exact(args):
     return {"config": {"n": n}, **asdict(graph_stats(graph))}, 0
 
 
-def _family_edges(family: str, params: list[str], seed: int):
-    """Build (edges, n) for a generator family from CLI positionals."""
-
-    def want(k: int):
-        if len(params) != k:
-            raise ValueError(f"family {family!r} takes {k} size parameter(s), got {len(params)}")
-
-    if family == "complete":
-        want(1)
-        n = int(params[0])
-        return complete_edges(n), n
-    if family == "path":
-        want(1)
-        n = int(params[0])
-        return path_edges(n), n
-    if family == "star":
-        want(1)
-        n = int(params[0])
-        return star_edges(n), n
-    if family == "bipartite-complete":
-        want(2)
-        a, b = int(params[0]), int(params[1])
-        return complete_bipartite_edges(a, b), a + b
-    if family == "gnp":
-        want(2)
-        n, p = int(params[0]), float(params[1])
-        return gnp_edges(n, p, seed=seed), n
-    if family == "planted-triangles":
-        want(2)
-        return planted_cluster_edges(int(params[0]), int(params[1]))
-    raise ValueError(f"unknown family {family!r}")
+# Each gen family: the types of its size parameters, and a builder that
+# takes them and the seed and returns (edges, n).
+_FAMILIES = {
+    "complete": ((int,), lambda n, seed: (complete_edges(n), n)),
+    "path": ((int,), lambda n, seed: (path_edges(n), n)),
+    "star": ((int,), lambda n, seed: (star_edges(n), n)),
+    "bipartite-complete": ((int, int), lambda a, b, seed: (complete_bipartite_edges(a, b), a + b)),
+    "gnp": ((int, float), lambda n, p, seed: (gnp_edges(n, p, seed=seed), n)),
+    "planted-triangles": ((int, int), lambda t, w, seed: planted_cluster_edges(t, w)),
+}
 
 
 def _cmd_gen(args):
     if not (0 <= args.delete_fraction < 1):
         raise ValueError(f"--delete-fraction must be in [0, 1), got {args.delete_fraction}")
-    edges, n = _family_edges(args.family, args.params, args.seed)
+    types, build = _FAMILIES[args.family]
+    if len(args.params) != len(types):
+        raise ValueError(
+            f"family {args.family!r} takes {len(types)} size parameter(s), got {len(args.params)}"
+        )
+    edges, n = build(*(t(p) for t, p in zip(types, args.params)), args.seed)
     if args.delete_fraction > 0:
         decoys = int(args.delete_fraction * len(edges) + 0.5)
         events, n = with_churn(edges, decoys, seed=args.seed, n_base=n)
@@ -173,11 +164,8 @@ def _sweep_fixture(rng: random.Random):
         edges = gnp_edges(n, p, seed=rng.randrange(2**32))
         if not edges:
             continue
-        g = AdjacencyGraph()
-        for u, v in edges:
-            g.insert(u, v)
         try:
-            return verify_lower_bounds(g.adj)
+            return verify_lower_bounds(_graph_of(edges).adj)
         except (NotConnectedError, HasIsolatedEdgesError):
             continue
 
@@ -230,15 +218,6 @@ def _cmd_doulion(args):
     return payload, 0
 
 
-_HANDLERS = {
-    "estimate": _cmd_estimate,
-    "exact": _cmd_exact,
-    "gen": _cmd_gen,
-    "verify-lemmas": _cmd_verify,
-    "doulion": _cmd_doulion,
-}
-
-
 # -- driver --------------------------------------------------------------
 
 
@@ -273,6 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     est = sub.add_parser("estimate", help="run the sparsify-then-sample estimator")
+    est.set_defaults(handler=_cmd_estimate)
     est.add_argument("stream", help="stream file, or - for stdin")
     est.add_argument("--n", type=int, required=True, help="vertex universe size")
     est.add_argument("--m-max", type=int, required=True, help="live-edge capacity bound")
@@ -285,22 +265,23 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--diagnostics", action="store_true", help="also print one record per copy")
 
     exa = sub.add_parser("exact", help="exact statistics of the final graph")
+    exa.set_defaults(handler=_cmd_exact)
     exa.add_argument("stream", help="stream file, or - for stdin")
     exa.add_argument("--n", type=int, default=None, help="universe size (default: max endpoint)")
 
     gen = sub.add_parser("gen", help="write a generated stream to stdout")
-    gen.add_argument(
-        "family",
-        choices=("complete", "path", "star", "bipartite-complete", "gnp", "planted-triangles"),
-    )
+    gen.set_defaults(handler=_cmd_gen)
+    gen.add_argument("family", choices=tuple(_FAMILIES))
     gen.add_argument("params", nargs="*", help="size parameters for the family")
     gen.add_argument("--delete-fraction", type=float, default=0.0)
 
     ver = sub.add_parser("verify-lemmas", help="check independent-2-path lower bounds")
+    ver.set_defaults(handler=_cmd_verify)
     ver.add_argument("stream", nargs="?", default=None, help="stream file, or - for stdin")
     ver.add_argument("--sweep", type=int, default=None, help="run this many random fixtures instead")
 
     dou = sub.add_parser("doulion", help="coin-flip sampling baseline")
+    dou.set_defaults(handler=_cmd_doulion)
     dou.add_argument("stream", help="stream file, or - for stdin")
     dou.add_argument("--p", type=float, required=True, help="edge keep probability")
     dou.add_argument("--trials", type=int, default=1)
@@ -316,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        payload, code = _HANDLERS[args.command](args)
+        payload, code = args.handler(args)
     except NoQualifiedCopiesError as err:
         return _fail(args, err, 3)
     except (ValueError, OverflowError, OSError) as err:

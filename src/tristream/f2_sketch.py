@@ -38,6 +38,7 @@ import math
 import numpy as np
 
 from .hashing import prime_for
+from .stream_core import int64_array
 
 
 class SeedMismatchError(ValueError):
@@ -67,14 +68,6 @@ def sketch_dims(epsilon: float, delta: float) -> tuple[int, int]:
 _WEIGHT_BUDGET = 1 << 62  # conservative: |counter| <= sum of |weight| always
 _BLOCK_CELLS = 1 << 16  # (row, item) cells per kernel pass: 512 KB per buffer
 _BLOCK_ITEMS = 1 << 14  # items per kernel block: at least 4 rows per group
-
-
-def _integers(values, name: str) -> np.ndarray:
-    """``values`` as an integer array; floats, bools and objects are refused."""
-    arr = np.asarray(values)
-    if arr.size and arr.dtype.kind not in "iu":
-        raise ValueError(f"{name} must be integers, got dtype {arr.dtype}")
-    return arr
 
 
 def _abs_sum(weights: np.ndarray) -> int:
@@ -131,12 +124,12 @@ class F2Sketch:
         """Apply weighted updates in one pass.
 
         Equivalent, counter for counter, to repeating ``update`` |weight|
-        times per item; zero weights are skipped.  Items and weights must be
-        integers: a float or bool array raises ``ValueError`` rather than
-        being truncated.
+        times per item; zero weights are skipped.  Items and weights are read
+        by ``stream_core.int64_array``: a float or bool raises ``ValueError``
+        rather than being truncated.
         """
-        items = _integers(items, "items")
-        weights = _integers(weights, "weights")
+        items = int64_array(items, "items")
+        weights = int64_array(weights, "weights")
         if items.shape != weights.shape:
             raise ValueError("items and weights must have matching length")
         live = weights != 0
@@ -149,7 +142,7 @@ class F2Sketch:
         self._abs_weight += _abs_sum(weights)
         if self._abs_weight >= _WEIGHT_BUDGET:
             raise CounterOverflowError("accumulated weight exceeds the 64-bit counter budget")
-        self._apply(items.astype(np.uint64), weights.astype(np.int64))
+        self._apply(items.astype(np.uint64), weights)
 
     def _apply(self, x: np.ndarray, weights: np.ndarray) -> None:
         """Add every item's signed weight to its counter in each row.

@@ -68,7 +68,11 @@ class EdgeEvent:
 
 @dataclass(frozen=True, slots=True)
 class StreamConfig:
-    """Universe size and live-edge capacity for a stream."""
+    """Universe size and live-edge capacity for a stream.
+
+    The universe is at most ``MAX_ID``, so that every edge key fits in 64
+    bits; a larger one raises ``ValueError``.
+    """
 
     n: int
     m_max: int
@@ -76,6 +80,8 @@ class StreamConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"universe must hold at least 2 vertices, got n={self.n}")
+        if self.n > MAX_ID:
+            raise ValueError(f"universe too large for 64-bit edge keys: n={self.n}")
         if self.m_max < 1:
             raise ValueError(f"m_max must be positive, got {self.m_max}")
 
@@ -198,13 +204,10 @@ def net_chunks(chunks, cfg: StreamConfig) -> tuple[np.ndarray, np.ndarray]:
     keys first among equal keys, so a chunk costs O(live + chunk log chunk).
     A chunk is checked whole before the next one is read, so the
     first violation in a chunk is the stream's first.  The keys fit in 64
-    bits while n is at most ``MAX_ID``; a larger universe raises
-    ``ValueError``.  Returns (us, vs) of the edges live at the end as int64
-    arrays, sorted by (u, v).
+    bits because ``StreamConfig`` holds n to at most ``MAX_ID``.  Returns
+    (us, vs) of the edges live at the end as int64 arrays, sorted by (u, v).
     """
     n = cfg.n
-    if n > MAX_ID:
-        raise ValueError(f"universe too large for 64-bit edge keys: n={n}")
     base = np.uint64(n + 1)
     live = np.empty(0, dtype=np.uint64)
     start = 0  # stream index of the chunk's first event
@@ -268,6 +271,9 @@ def net_chunks(chunks, cfg: StreamConfig) -> tuple[np.ndarray, np.ndarray]:
         last = np.ones(key.size, dtype=bool)
         last[:-1] = ~same
         live = key[last & (s == 1)]
+        # only the live keys outlive the chunk: its arrays are freed before
+        # the next chunk is read and parsed, not when the loop reassigns them
+        del us, vs, signs, ps, key, order, s, same, repeat, pos, last
     us, vs = np.empty((2, live.size), dtype=np.int64)
     np.divmod(live, base, out=(us, vs), casting="unsafe")
     return us, vs
@@ -392,6 +398,7 @@ def read_chunks(
         del lines
         if chunk[0].size:
             yield chunk
+        del chunk  # and the chunk before the next block is read
         lineno += count
 
 
@@ -427,6 +434,28 @@ def event_chunks(events) -> Iterator:
         yield from it
 
 
+def int64_array(values, name: str) -> np.ndarray:
+    """``values`` as an int64 array; anything but integers is refused.
+
+    An array must have an integer dtype (an empty one may have any), and a
+    uint64 value of 2^63 or more raises ``OverflowError``; an int64 array
+    passes through.  Any other sequence is read element by element, never
+    through the dtype numpy would infer for it (float64 for ``[2**63, 1]``):
+    a float or bool element raises ``ValueError``, and an integer outside
+    the int64 range raises ``OverflowError``.
+    """
+    if isinstance(values, np.ndarray):
+        if values.size and values.dtype.kind not in "iu":
+            raise ValueError(f"{name} must be integers, got dtype {values.dtype}")
+        if values.dtype == np.uint64 and values.size and values.max() >= 2**63:
+            raise OverflowError(f"{name} holds {values.max()}, outside the int64 range")
+        return np.ascontiguousarray(values, dtype=np.int64)
+    for x in values:
+        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+            raise ValueError(f"{name} must be integers, got {type(x).__name__}")
+    return np.array(values, dtype=np.int64)
+
+
 def events_to_arrays(events) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Canonical array form (u, v, sign) used by the batched ingest paths.
 
@@ -434,10 +463,17 @@ def events_to_arrays(events) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``(us, vs, signs)`` triple of arrays or lists; int64 arrays pass through.
     A tuple of three EdgeEvents is three events, not a triple.  Every field
     is read as int64, so an id outside the int64 range raises
-    ``OverflowError`` in every input form.
+    ``OverflowError`` in every input form.  A triple goes through
+    ``int64_array``, so a float or bool field raises ``ValueError``, as do
+    fields of unequal lengths.
     """
     if isinstance(events, tuple) and len(events) == 3 and not isinstance(events[0], EdgeEvent):
-        return tuple(np.ascontiguousarray(x, dtype=np.int64) for x in events)
+        triple = tuple(map(int64_array, events, ("us", "vs", "signs")))
+        if not triple[0].shape == triple[1].shape == triple[2].shape:
+            raise ValueError(
+                f"us, vs and signs must have equal lengths, got {[a.size for a in triple]}"
+            )
+        return triple
     if not hasattr(events, "__len__"):
         events = list(events)
     us = np.fromiter((e.u for e in events), dtype=np.int64, count=len(events))

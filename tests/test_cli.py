@@ -19,11 +19,20 @@ from tristream import cli
 from tristream.baselines import DoulionCounter
 from tristream.cli import main
 from tristream.estimator import NoQualifiedCopiesError, derive_config, estimate_triangles
-from tristream.generators import gnp_edges, with_churn
+from tristream.generators import (
+    complete_bipartite_edges,
+    complete_edges,
+    gnp_edges,
+    path_edges,
+    planted_cluster_edges,
+    star_edges,
+    with_churn,
+)
 from tristream.hashing import mix2
 from tristream.indep_paths import verify_lower_bounds
 from tristream.oracles import graph_stats
 from tristream.stream_core import (
+    AdjacencyGraph,
     StreamConfig,
     StreamError,
     iter_stream,
@@ -143,6 +152,8 @@ def test_missing_file_exits_2(tmp_path, capsys):
     (["estimate", "--n", "1", "--m-max", "5"], "InvalidRangeError"),
     (["exact", "--n", "1"], "ValueError"),
     (["doulion", "--p", "0"], "ValueError"),
+    (["exact", "--n", "4294967296"], "ValueError"),  # above MAX_ID
+    (["doulion", "--p", "0.5", "--n", "4294967296"], "ValueError"),
 ])
 def test_parameter_errors_come_before_a_missing_file(tmp_path, capsys, argv, kind):
     command, *options = argv
@@ -240,6 +251,49 @@ def test_gen_rejects_bad_parameters(capsys):
 
     code, out = run_cli(["gen", "complete", "4", "--delete-fraction", "1.0"], capsys)
     assert code == 2
+
+
+
+@pytest.mark.parametrize("delete_fraction", [None, "0.3"])
+@pytest.mark.parametrize("family, params, edges, n", [
+    ("complete", ["6"], complete_edges(6), 6),
+    ("path", ["7"], path_edges(7), 7),
+    ("star", ["6"], star_edges(6), 6),
+    ("bipartite-complete", ["3", "4"], complete_bipartite_edges(3, 4), 7),
+    ("gnp", ["12", "0.4"], gnp_edges(12, 0.4, seed=5), 12),
+    ("planted-triangles", ["3", "2"], *planted_cluster_edges(3, 2)),
+])
+def test_gen_writes_every_family_whose_final_graph_is_its_edges(
+    tmp_path, capsys, family, params, edges, n, delete_fraction
+):
+    churn = ["--delete-fraction", delete_fraction] if delete_fraction else []
+    code, out = run_cli(["gen", family, *params, "--seed", "5", *churn], capsys)
+    assert code == 0
+    decoys = int(float(delete_fraction) * len(edges) + 0.5) if delete_fraction else 0
+    assert out.splitlines()[0] == f"# n={n + 2 * decoys}"
+    path = tmp_path / "family.txt"
+    path.write_text(out)
+
+    code, out = run_cli(["exact", str(path)], capsys)
+    assert code == 0
+    payload = json.loads(out)
+    graph = AdjacencyGraph()
+    for u, v in edges:
+        graph.insert(u, v)
+    want = graph_stats(graph)
+    assert (payload["t3"], payload["p2"], payload["m"]) == (want.t3, want.p2, want.m)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify-lemmas", "--sweep", "0"], "--sweep must be positive, got 0"),
+    (["verify-lemmas"], "verify-lemmas needs a stream file or --sweep"),
+    (["doulion", "missing.txt", "--p", "0.5", "--trials", "0"], "--trials must be positive, got 0"),
+], ids=["sweep-0", "no-input", "trials-0"])
+def test_parameter_errors_exit_2_with_their_message(tmp_path, capsys, monkeypatch, argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, out = run_cli(argv, capsys)
+    assert code == 2
+    assert json.loads(out)["error"] == {"type": "ValueError", "message": message}
 
 
 def test_reads_stream_from_stdin(capsys, monkeypatch):

@@ -328,6 +328,28 @@ def test_negative_endpoint_is_out_of_universe():
                 estimate_triangles(stream, cfg)
 
 
+
+@pytest.mark.parametrize("us, vs, signs, kind", [
+    (np.array([1.7, 2.2, 1.0]), np.array([2.9, 3.5, 3.0]), np.array([1, 1, 1]), ValueError),
+    ([1.0, 1, 2], [2, 3, 3], [1, 1, 1], ValueError),
+    (np.array([1, 1, 2]), np.array([2, 3, 3]), np.array([True, True, True]), ValueError),
+    ([1, 1, 2], [2, 3, 3], [True, 1, 1], ValueError),
+    (np.array([1, 2**63], dtype=np.uint64), np.array([2, 3], dtype=np.uint64), np.array([1, 1]),
+     OverflowError),
+    ([1, 1, 2], [2, 3, 3], [1], ValueError),
+], ids=["float-array", "float-list", "bool-array", "bool-list", "uint64-past-int64",
+        "unequal-lengths"])
+def test_array_input_takes_integers_only(us, vs, signs, kind):
+    # one rule for every array consumer: nothing is truncated, wrapped or
+    # indexed past its end
+    cfg = derive_config(n=5, m_max=5, k_override=5)
+    with pytest.raises(kind) as err:
+        estimate_triangles((us, vs, signs), cfg)
+    assert type(err.value) is kind
+    with pytest.raises(kind):
+        TwoPathEstimator(5, 0.3, 0.1).sketch.update_many(us, signs)
+
+
 def _estimate_or_diagnostics(events, cfg):
     """The report as a dict, or the diagnostics when no copy qualified."""
     try:

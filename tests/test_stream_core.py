@@ -1,4 +1,5 @@
 import io
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from tristream.stream_core import (
     AdjacencyGraph,
     DeleteAbsentError,
     DuplicateInsertError,
+    MAX_ID,
     EdgeEvent,
     LoopEdgeError,
     OutOfUniverseError,
@@ -51,6 +53,10 @@ def test_config_validation():
         StreamConfig(n=1, m_max=5)
     with pytest.raises(ValueError):
         StreamConfig(n=5, m_max=0)
+    # edge keys u*(n+1) + v must fit in 64 bits
+    assert StreamConfig(n=MAX_ID, m_max=5).n == 2**32 - 1
+    with pytest.raises(ValueError, match="too large for 64-bit edge keys"):
+        StreamConfig(n=MAX_ID + 1, m_max=5)
 
 
 def test_materialize_turnstile_rules():
@@ -301,6 +307,28 @@ def test_net_chunks_at_the_largest_universe():
         DeleteAbsentError, f"event 5: edge ({n - 2}, {n - 1}) not live")
     assert _net_outcome(stream[:2] + [EdgeEvent(n - 1, n + 1, 1)], cfg, 2) == (
         OutOfUniverseError, f"event 2: endpoint outside [1, {n}]: ({n - 1}, {n + 1})")
+
+
+
+def test_no_chunk_outlives_the_read_of_the_next():
+    # Only the live keys carry over from one chunk to the next, so netting a
+    # file holds one chunk's arrays at a time, not two.
+    held = []
+
+    def lines():
+        for u in range(1, 10):
+            assert all(ref() is None for ref in held), "an earlier chunk is still held"
+            yield f"+ {u} {u + 1}\n"
+
+    def watched(chunks):
+        for chunk in chunks:
+            held[:] = map(weakref.ref, chunk)
+            yield chunk
+            del chunk
+
+    with chunk_size(2):
+        us, vs = net_chunks(watched(read_chunks(lines())), StreamConfig(n=10, m_max=9))
+    assert us.tolist() == list(range(1, 10)) and vs.tolist() == list(range(2, 11))
 
 
 def test_net_chunks_refuses_a_chunk_its_event_positions_overflow():
