@@ -20,17 +20,29 @@ weighted update with bit-identical counters.
 The update kernel takes the items in blocks of at most ``_BLOCK_ITEMS`` =
 2^14 and a block's rows in groups of ``_BLOCK_CELLS // block`` rows, so each
 pass covers at most ``_BLOCK_CELLS`` = 2^16 (row, item) cells through four
-reused 512 KB buffers and its temporaries do not grow with the item count.
-Every numpy call then runs along the item axis: a batch of 5,410 items runs
-12 groups of 12 rows, and one of 455 items or fewer runs the default 144
-rows as one group.
+reused buffers (1.5 MB in the 32-bit lane, 2 MB in the 64-bit one) and its
+temporaries do not grow with the item count.  Every numpy call then runs
+along the item axis: a batch of 5,410 items runs 12 groups of 12 rows, and
+one of 455 items or fewer runs the default 144 rows as one group.
 
 With x^2 and x^3 reduced mod p once per item, a row's sign polynomial
-a3*x^3 + a2*x^2 + a1*x + a0 is below 3(p-1)^2 + p < 2^64 for every
-supported prime (up to 2^31 - 1) and needs one reduction.  Its parity needs
-no remainder: with q = y // p, (y mod p) & 1 == (y ^ q) & 1 because p is
-odd, as every supported Mersenne prime is.  Remainders are taken as
-y - (y // m) * m, since numpy divides by a scalar faster than it takes ``%``.
+a3*x^3 + a2*x^2 + a1*x + a0 is below 3(p-1)^2 + p and the bucket's a*x + b
+below p^2, so each needs one reduction.  The kernel computes in the
+narrowest unsigned lane that holds those bounds, chosen once per sketch:
+
+- uint32 for p = 8191, that is max(n, cols) < 8191: 3(p-1)^2 + p is below
+  2^28.  The row offsets and cell indices, below rows * cols, fit int32
+  too, so a sketch of more than 2^31 counters keeps the 64-bit lane;
+- uint64 for the 17-, 19- and 31-bit primes: 3(p-1)^2 + p < 2^64 for every
+  p up to 2^31 - 1.
+
+Either lane gives the same counters bit for bit; the signed weights and the
+counters are int64 in both.  numpy's uint32 multiply and scalar divide ran
+2 to 3.5 times as fast as the uint64 ones on a 2-CPU x86-64 host.  The
+sign's parity needs no remainder: with q = y // p, (y mod p) & 1 ==
+(y ^ q) & 1 because p is odd, as every supported Mersenne prime is.
+Remainders are taken as y - (y // m) * m, since numpy divides by a scalar
+faster than it takes ``%``.
 """
 
 import math
@@ -91,17 +103,22 @@ class F2Sketch:
         # p > max(n, cols): distinct items stay distinct mod p, and the bucket
         # hash collides two of them with probability at most 1/cols.
         _, self.prime = prime_for(max(n, cols))
+        # The kernel's lane, from the bounds in the module docstring.
+        small = 3 * (self.prime - 1) ** 2 + self.prime < 2**32 and rows * cols <= 2**31
+        self._lane = lane = np.uint32 if small else np.uint64
+        signed = np.int32 if small else np.int64  # the sign's and the row offsets' type
         # One hash pair per row, drawn from a PCG stream keyed by the sketch
         # seed.  Equal (n, rows, cols, seed) therefore implies equal families,
         # which is what merge checks.  Column vectors broadcast over items:
         # each row's counter offset r*cols, its sign coefficients a0..a3 and
-        # its bucket pair (a, b).
+        # its bucket pair (a, b), drawn in uint64 and stored in the lane, so
+        # the family does not depend on the lane.
         rng = np.random.default_rng(seed)
         sign = rng.integers(0, self.prime, size=(4, rows, 1), dtype=np.uint64)
         a = rng.integers(1, self.prime, size=(rows, 1), dtype=np.uint64)
         b = rng.integers(0, self.prime, size=(rows, 1), dtype=np.uint64)
-        row_base = np.arange(rows, dtype=np.int64).reshape(rows, 1) * cols
-        self._columns = (row_base, *sign, a, b)
+        row_base = np.arange(rows, dtype=signed).reshape(rows, 1) * cols
+        self._columns = (row_base, *sign.astype(lane), a.astype(lane), b.astype(lane))
         self._counters = np.zeros(rows * cols, dtype=np.int64)
         self._abs_weight = 0
 
@@ -142,20 +159,22 @@ class F2Sketch:
         self._abs_weight += _abs_sum(weights)
         if self._abs_weight >= _WEIGHT_BUDGET:
             raise CounterOverflowError("accumulated weight exceeds the 64-bit counter budget")
-        self._apply(items.astype(np.uint64), weights)
+        self._apply(items.astype(self._lane), weights)
 
     def _apply(self, x: np.ndarray, weights: np.ndarray) -> None:
         """Add every item's signed weight to its counter in each row.
 
-        Items go through in blocks of at most ``_BLOCK_ITEMS``, and each
-        block's rows in groups of ``_BLOCK_CELLS // block`` rows, so the four
-        (group x block) buffers below stay cache-sized, are reused through
-        ``out=``, and every numpy call runs along the long item axis.
+        ``x`` holds the items in the sketch's lane type.  Items go through in
+        blocks of at most ``_BLOCK_ITEMS``, and each block's rows in groups of
+        ``_BLOCK_CELLS // block`` rows, so the four (group x block) buffers
+        below stay cache-sized, are reused through ``out=``, and every numpy
+        call runs along the long item axis.
         """
-        p, cols = np.uint64(self.prime), np.uint64(self.cols)
+        lane = self._lane
+        p, cols = lane(self.prime), lane(self.cols)
         # x < p, so x^2 and x^3 reduced once per item keep every product
         # below (p-1)^2; a row's polynomial a3*x^3 + a2*x^2 + a1*x + a0 then
-        # stays below 3(p-1)^2 + p < 2^64 and needs one reduction, not three.
+        # stays below 3(p-1)^2 + p, inside the lane, and needs one reduction.
         x2 = x * x
         x2 -= x2 // p * p
         x3 = x2 * x
@@ -165,8 +184,8 @@ class F2Sketch:
         group = max(1, min(rows, _BLOCK_CELLS // block))
         groups = [[c[r:r + group] for c in self._columns] for r in range(0, rows, group)]
         size = group * block
-        y_buf, q_buf = np.empty(size, np.uint64), np.empty(size, np.uint64)
-        cell_buf, signed_buf = np.empty(size, np.int64), np.empty(size, np.int64)
+        y_buf, q_buf = np.empty(size, lane), np.empty(size, lane)
+        cell_buf, signed_buf = np.empty(size, np.intp), np.empty(size, np.int64)
         for lo in range(0, x.size, block):
             hi = min(lo + block, x.size)
             xb, x2b, x3b, wb = x[lo:hi], x2[lo:hi], x3[lo:hi], weights[lo:hi]
@@ -186,18 +205,18 @@ class F2Sketch:
                 # and no %.
                 np.floor_divide(y, p, out=q)
                 y ^= q
-                y &= np.uint64(1)
-                sign = y.view(np.int64)
+                y &= lane(1)
+                sign = y.view(base.dtype)
                 sign <<= 1
                 sign -= 1
                 np.multiply(sign, wb, out=signed)
                 # Bucket ((a*x + b) mod p) mod cols, each mod as y - (y // m) * m;
-                # a*x + b < p^2 < 2^62.
+                # a*x + b < p^2, inside the lane.
                 np.multiply(a, xb, out=y)
                 y += b
                 y -= np.multiply(np.floor_divide(y, p, out=q), p, out=q)
                 y -= np.multiply(np.floor_divide(y, cols, out=q), cols, out=q)
-                np.add(base, y.view(np.int64), out=cell)
+                np.add(base, y.view(base.dtype), out=cell)
                 np.add.at(self._counters, cell_buf[:cells], signed_buf[:cells])
 
     def estimate(self) -> float:

@@ -57,13 +57,27 @@ class StreamFormatError(StreamError):
     pass
 
 
+def _require_integer(x, name: str) -> None:
+    """Raise ``ValueError`` unless ``x`` is an int or a numpy integer; a bool is not."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
+        raise ValueError(f"{name} must be integers, got {type(x).__name__}")
+
+
 @dataclass(frozen=True, slots=True)
 class EdgeEvent:
-    """A signed edge update; endpoints are normalized so u < v."""
+    """A signed edge update; endpoints are normalized so u < v.
+
+    A float or bool field raises ``ValueError`` here, by ``int64_array``'s
+    rule, so ``events_to_arrays`` and ``materialize`` only ever see integers.
+    """
 
     u: int
     v: int
     sign: int
+
+    def __post_init__(self):
+        for x in (self.u, self.v, self.sign):
+            _require_integer(x, "EdgeEvent fields")
 
 
 @dataclass(frozen=True, slots=True)
@@ -451,8 +465,7 @@ def int64_array(values, name: str) -> np.ndarray:
             raise OverflowError(f"{name} holds {values.max()}, outside the int64 range")
         return np.ascontiguousarray(values, dtype=np.int64)
     for x in values:
-        if isinstance(x, bool) or not isinstance(x, (int, np.integer)):
-            raise ValueError(f"{name} must be integers, got {type(x).__name__}")
+        _require_integer(x, name)
     return np.array(values, dtype=np.int64)
 
 
@@ -465,7 +478,8 @@ def events_to_arrays(events) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     is read as int64, so an id outside the int64 range raises
     ``OverflowError`` in every input form.  A triple goes through
     ``int64_array``, so a float or bool field raises ``ValueError``, as do
-    fields of unequal lengths.
+    fields of unequal lengths; an ``EdgeEvent`` refuses such a field when it
+    is built, so none reaches this function.
     """
     if isinstance(events, tuple) and len(events) == 3 and not isinstance(events[0], EdgeEvent):
         triple = tuple(map(int64_array, events, ("us", "vs", "signs")))

@@ -350,6 +350,20 @@ def test_array_input_takes_integers_only(us, vs, signs, kind):
         TwoPathEstimator(5, 0.3, 0.1).sketch.update_many(us, signs)
 
 
+def test_an_edge_event_takes_integers_only():
+    # The float events below were truncated to a triangle on the estimator's
+    # side and kept as six float vertices by materialize; now neither is
+    # reached.  numpy integers pass, as they do in an array triple.
+    for fields in ((1.7, 2.9, 1), (2.2, 3.5, 1), (1.0, 3.0, True), (1, 2, True),
+                   (1, np.float64(2.0), 1), (False, 2, 1)):
+        with pytest.raises(ValueError, match="EdgeEvent fields must be integers"):
+            EdgeEvent(*fields)
+    events = [EdgeEvent(1, 2, 1), EdgeEvent(np.int64(2), np.int32(3), 1), EdgeEvent(1, 3, np.int8(1))]
+    cfg = derive_config(n=5, m_max=5, k_override=5)
+    assert estimate_triangles(events, cfg).t3_hat == 1.0
+    assert materialize(events, StreamConfig(n=5, m_max=5)).m == 3
+
+
 def _estimate_or_diagnostics(events, cfg):
     """The report as a dict, or the diagnostics when no copy qualified."""
     try:

@@ -162,6 +162,35 @@ def test_kernels_agree_bit_for_bit():
             assert sk.counters.tolist() == _scalar_counters(sk, items, weights)
 
 
+def test_each_prime_selects_its_lane():
+    # 3(p-1)^2 + p < 2^32 holds only for the 13-bit prime
+    for n, prime in _PRIMES:
+        sk = F2Sketch(n, rows=3, cols=17, seed=2)
+        assert sk.prime == prime
+        assert sk._lane is (np.uint32 if prime == 8191 else np.uint64)
+        assert all(c.dtype == sk._lane for c in sk._columns[1:])
+        assert sk._columns[0].dtype == (np.int32 if prime == 8191 else np.int64)
+
+
+def test_32_bit_lane_at_its_largest_values():
+    # Every coefficient at p - 1 takes a*x + b to (p-1)^2 + (p-1) at item
+    # p - 1, and each term of the sign polynomial to its largest value at the
+    # item whose power has the largest residue.  p - 1, p - 2, 1 and (p-1)/2
+    # are the edges of the field; random items test that x^2 and x^3 are
+    # reduced before the polynomial, which would otherwise leave the lane.
+    p = 8191
+    sk = F2Sketch(p - 1, rows=5, cols=p - 2, seed=6)
+    assert sk._lane is np.uint32
+    for column in sk._columns[1:]:
+        column[:] = p - 1
+    rng = np.random.default_rng(8)
+    spread = rng.choice(np.arange(2, p - 2), size=40, replace=False).tolist()
+    items = [p - 1, p - 2, 1, (p - 1) // 2] + spread
+    weights = rng.integers(-9, 10, size=len(items)).tolist()
+    sk.update_many(items, weights)
+    assert sk.counters.tolist() == _scalar_counters(sk, items, weights)
+
+
 def test_kernel_at_default_dims_and_budget_edge():
     # 144 x 2400 cells in the real blocks.  455 items or fewer run all rows
     # as one group; 456 items run groups of 143 rows and 1 row.
@@ -206,17 +235,19 @@ def test_kernel_at_default_dims_and_budget_edge():
 
 def test_kernel_memory_is_bounded_by_its_blocks():
     # the kernel's temporaries are four 2^16-cell buffers plus a few arrays
-    # over the items, not (rows x items)-cell arrays
-    sk = F2Sketch.from_accuracy(12_000, 0.3, 0.1, seed=1)
-    items = np.arange(1, 12_001)
-    weights = np.ones(items.size, dtype=np.int64)
-    tracemalloc.start()
-    try:
-        sk.update_many(items, weights)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8_000_000
+    # over the items, not (rows x items)-cell arrays, in the 64-bit lane
+    # (n = 12,000) and the 32-bit one (n = 8,000)
+    for n in (12_000, 8_000):
+        sk = F2Sketch.from_accuracy(n, 0.3, 0.1, seed=1)
+        items = np.arange(1, n + 1)
+        weights = np.ones(items.size, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            sk.update_many(items, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
 
 
 def _median_readout(counters):
