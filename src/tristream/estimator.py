@@ -477,6 +477,12 @@ def estimate_triangles(events, cfg: EstimatorConfig) -> Report:
         warnings.append("degenerate-stream: m_max < 18 forces full retention (p = 1)")
     if ell < cfg.k / 2:
         warnings.append(f"low-confidence: only {ell} of {cfg.k} copies qualified")
+    if alpha_hat < cfg.alpha_min:
+        # K = ceil(36/(epsilon^2 alpha_min) ln(2/delta)) assumes alpha >= alpha_min
+        warnings.append(
+            f"below-premise: alpha_hat {alpha_hat:.6g} < alpha_min {cfg.alpha_min:g};"
+            " K is sized for alpha >= alpha_min"
+        )
     if p2_hat == 0.0 and x_sum > 0:
         warnings.append("inconsistent: sampled closed 2-paths but the 2-path estimate is zero")
 

@@ -202,27 +202,47 @@ def net_chunks(chunks, cfg: StreamConfig) -> tuple[np.ndarray, np.ndarray]:
     and at one event it keeps the same precedence (loop, normalization and
     sign, universe, insert or delete, capacity).  Each chunk is a triple
     ``(us, vs, signs)`` in the form of ``events_to_arrays``, and only the
-    sorted keys ``u*(n+1) + v`` of the live edges outlive it.  Each chunk is
-    netted in one sorted run: the live keys, as inserts, followed by the
-    chunk's keys in event order, sorted so that an edge live before the
-    chunk leads its run with +1.  An edge's multiplicity stays in {0, 1}
-    exactly when its signs in the run alternate +1, -1, ... starting with
-    +1, so a break in that pattern is a duplicate insert or a delete of an
-    absent edge.  The edges live after the chunk are those whose last sign
-    in the run is +1, already sorted.  The live count plus the running sum
-    of the chunk's signs is checked against ``m_max``.  The chunk's keys
-    take numpy's default sort, and a sort of the distinct words
-    ``(run << 32) | position`` puts each key's events back in event order,
-    so a chunk must hold fewer than 2^31 events; a larger one raises
-    ``ValueError``.  A stable sort then merges the two sorted runs, live
-    keys first among equal keys, so a chunk costs O(live + chunk log chunk).
-    A chunk is checked whole before the next one is read, so the
-    first violation in a chunk is the stream's first.  The keys fit in 64
-    bits because ``StreamConfig`` holds n to at most ``MAX_ID``.  Returns
+    sorted keys ``u*(n+1) + v`` of the live edges outlive it.  The keys fit
+    in 64 bits because ``StreamConfig`` holds n to at most ``MAX_ID``.
+
+    Each chunk is netted in one sorted run: the live keys, as inserts,
+    followed by the chunk's keys, with each key's events in event order and
+    an edge live before the chunk leading its run with +1.  An edge's
+    multiplicity stays in {0, 1} exactly when its signs in the run alternate
+    +1, -1, ... starting with +1, so a break in that pattern is a duplicate
+    insert or a delete of an absent edge.  The edges live after the chunk
+    are those whose last sign in the run is +1, already sorted.  The live
+    count plus the running sum of the chunk's signs is checked against
+    ``m_max``.  A chunk is checked whole before the next one is read, so the
+    first violation in a chunk is the stream's first.
+
+    The run is built one of two ways, chosen from n and the chunk's size
+    alone; both give each entry's key and its slot, the event's position in
+    the chunk plus 1, or 0 for a live key, and share everything after.
+
+    - Packed, when a key and a slot fit in one 64-bit word together, that
+      is when ``((n+1)**2 - 1).bit_length() + size.bit_length() <= 64``;
+      at 65,536-event chunks, n below 2^23.5, about 1.19e7.  Each event is
+      the word ``key << b | slot``, with ``b = size.bit_length()``, and each
+      live key the word ``key << b``, whose slot 0 puts it first in its run.
+      One value sort of the chunk's words, then a stable sort that merges
+      them with the sorted live words in linear time, gives the run; a
+      shift and a mask give back the key and the slot.
+    - Wide, otherwise: any larger universe for the chunk's size, such as
+      n = ``MAX_ID`` in the file commands ``exact``, ``doulion`` and
+      ``verify-lemmas`` without ``--n``.  The chunk's keys take numpy's
+      default sort, which may leave equal keys in any order; a second sort,
+      of the distinct words ``(run << 32) | position``, puts each key's
+      events back in event order.  A stable argsort then merges the two
+      sorted runs, live keys first among equal keys.
+
+    Either way a chunk must hold fewer than 2^31 events; a larger one raises
+    ``ValueError``.  A chunk costs O(live + chunk log chunk).  Returns
     (us, vs) of the edges live at the end as int64 arrays, sorted by (u, v).
     """
     n = cfg.n
     base = np.uint64(n + 1)
+    key_bits = ((n + 1) ** 2 - 1).bit_length()
     live = np.empty(0, dtype=np.uint64)
     start = 0  # stream index of the chunk's first event
     for us, vs, signs in chunks:
@@ -240,30 +260,47 @@ def net_chunks(chunks, cfg: StreamConfig) -> tuple[np.ndarray, np.ndarray]:
         held = live.size
         ck = np.multiply(us[:k], base, dtype=np.uint64, casting="unsafe")
         np.add(ck, vs[:k], out=ck, dtype=np.uint64, casting="unsafe")
-        # The default sort may leave equal keys in any order; sorting the
-        # words (run << 32) | position puts each run back in event order.
-        pos = np.argsort(ck)
-        ck = ck[pos]
-        words = np.zeros(k, dtype=np.int64)
-        np.cumsum(ck[1:] != ck[:-1], out=words[1:])
-        words <<= 32
-        words |= pos
-        words.sort()
-        pos = words & 0xFFFFFFFF
-        del words
-        # two sorted runs, which the stable sort merges with live keys leading ties
-        key = np.concatenate((live, ck))
-        del ck
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        s = np.concatenate((np.ones(held, dtype=ps.dtype), ps[pos]))[order]
+        b = size.bit_length()
+        if key_bits + b <= 64:
+            shift = np.uint64(b)
+            ck <<= shift
+            ck |= np.arange(1, k + 1, dtype=np.uint64)
+            ck.sort()
+            words = np.concatenate((live << shift, ck))
+            del ck
+            words.sort(kind="stable")  # two sorted runs: one linear merge
+            key = words >> shift
+            slot = (words & np.uint64((1 << b) - 1)).view(np.int64)
+            del words
+        else:
+            # The default sort may leave equal keys in any order; sorting the
+            # words (run << 32) | position puts each run back in event order.
+            pos = np.argsort(ck)
+            ck = ck[pos]
+            words = np.zeros(k, dtype=np.int64)
+            np.cumsum(ck[1:] != ck[:-1], out=words[1:])
+            words <<= 32
+            words |= pos
+            words.sort()
+            key = np.concatenate((live, ck))
+            slot = np.zeros(key.size, dtype=np.int64)
+            np.bitwise_and(words, 0xFFFFFFFF, out=slot[held:])
+            slot[held:] += 1
+            del ck, pos, words
+            # two sorted runs, which the stable sort merges with live keys leading ties
+            order = np.argsort(key, kind="stable")
+            key, slot = key[order], slot[order]
+            del order
+        # each entry inserts its key or deletes it; a live key counts as an insert
+        ins = np.concatenate(((True,), ps == 1))[slot]
         same = key[1:] == key[:-1]
+        # an entry breaks its run's alternation when it inserts after an
+        # insert of its key, or deletes after a delete or at the run's head
         repeat = np.empty(key.size, dtype=bool)
-        repeat[:1] = s[:1] != 1
-        repeat[1:] = np.where(same, s[1:] == s[:-1], s[1:] != 1)
-        # a live key leads its run with +1, so every flagged position is past
-        # the live run, and pos gives its event
-        first_repeat = int(pos[order[repeat] - held].min()) if repeat.any() else size
+        repeat[:1] = ~ins[:1]
+        np.equal(ins[1:], same & ins[:-1], out=repeat[1:])
+        # a live key leads its run with an insert, so every flagged slot is an event's
+        first_repeat = int(slot[repeat].min()) - 1 if repeat.any() else size
         over = np.flatnonzero(np.cumsum(ps) > cfg.m_max - held)
         first_over = int(over[0]) if over.size else size
 
@@ -284,10 +321,10 @@ def net_chunks(chunks, cfg: StreamConfig) -> tuple[np.ndarray, np.ndarray]:
         # a key is live after the chunk iff its last event in the run inserts it
         last = np.ones(key.size, dtype=bool)
         last[:-1] = ~same
-        live = key[last & (s == 1)]
+        live = key[last & ins]
         # only the live keys outlive the chunk: its arrays are freed before
         # the next chunk is read and parsed, not when the loop reassigns them
-        del us, vs, signs, ps, key, order, s, same, repeat, pos, last
+        del us, vs, signs, ps, key, slot, ins, same, repeat, last
     us, vs = np.empty((2, live.size), dtype=np.int64)
     np.divmod(live, base, out=(us, vs), casting="unsafe")
     return us, vs

@@ -189,6 +189,21 @@ def test_low_confidence_warning_when_few_copies_qualify():
     assert any(w.startswith("low-confidence") for w in report.warnings)
 
 
+def test_below_premise_warning_when_alpha_hat_is_under_alpha_min():
+    # a 30-leaf star with one edge between two leaves has alpha = 3/437,
+    # below the default alpha_min of 0.05; K8 has alpha = 1
+    sparse = [(1, v) for v in range(2, 32)] + [(2, 3)]
+    for edges, n, warns in ((sparse, 31, True), (complete_edges(8), 8, False)):
+        cfg = derive_config(n=n, m_max=len(edges), k_override=200, seed=4)
+        assert cfg.colors == 1 and cfg.alpha_min == 0.05
+        report = estimate_triangles(edges_to_events(edges), cfg)
+        below = [w for w in report.warnings if w.startswith("below-premise")]
+        assert (report.alpha_hat < cfg.alpha_min) is warns
+        assert below == ([f"below-premise: alpha_hat {report.alpha_hat:.6g} < alpha_min 0.05; "
+                          "K is sized for alpha >= alpha_min"] if warns else [])
+        assert report.to_dict(diagnostics=False)["warnings"] == list(report.warnings)
+
+
 def test_report_shape_and_shared_structure():
     edges = complete_edges(5)
     cfg = derive_config(n=5, m_max=10, k_override=12, seed=7)

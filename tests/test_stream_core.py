@@ -1,4 +1,5 @@
 import io
+import math
 import weakref
 
 import numpy as np
@@ -237,11 +238,15 @@ def test_net_chunks_carries_the_live_set_across_chunks():
     assert list(zip(us.tolist(), vs.tolist())) == [(1, 2), (2, 3), (4, 5)]
 
 
-def _net_outcome(stream, cfg, size):
-    """``materialize``'s outcome for ``stream``, checked against ``net_chunks`` in chunks of ``size``."""
+def _net_outcome(stream, cfg, size=None):
+    """``materialize``'s outcome for ``stream``, checked against ``net_chunks`` in chunks of ``size``.
+
+    ``size`` None nets the stream as one chunk.
+    """
     graphs, nets = [], []
     want = contract_outcome(lambda: graphs.append(materialize(stream, cfg)))
     us, vs, signs = events_to_arrays(stream)
+    size = size or max(us.size, 1)
     chunks = [(us[i:i + size], vs[i:i + size], signs[i:i + size]) for i in range(0, us.size, size)]
     assert contract_outcome(lambda: nets.append(net_chunks(chunks, cfg))) == want
     if want is None:
@@ -261,53 +266,80 @@ def test_net_chunks_keeps_event_order_within_long_chunks():
         _net_outcome(stream, cfg, 1500)
 
 
+def _packed_limit(size):
+    """The largest n whose edge keys pack with the slots of a ``size``-event chunk into 64 bits.
+
+    ``net_chunks`` packs a chunk when ``((n+1)**2 - 1).bit_length() +
+    size.bit_length() <= 64``, that is when (n+1)^2 <= 2^(64 - size.bit_length()).
+    """
+    return math.isqrt(2 ** (64 - size.bit_length())) - 1
+
+
 def test_net_chunks_restores_event_order_among_equal_keys_beside_a_larger_live_set():
     # 2,500 edges go live in the first chunk; the second chunk holds 2,000
     # events on five keys, two of them carried live, so the live run is
     # longer than the chunk and each key's run of events is long
     rng = np.random.default_rng(18)
     pairs = rng.permutation([(a, b) for a in range(1, 121) for b in range(a + 1, 121)]).tolist()
-    first = [EdgeEvent(a, b, 1) for a, b in pairs[:2500]]
+    first = [(a, b, 1) for a, b in pairs[:2500]]
     carried, fresh = pairs[:2], pairs[2500:2503]
     live = set(map(tuple, carried))
     second = []
     for a, b in rng.choice(carried + fresh, size=2000).tolist():
-        second.append(EdgeEvent(a, b, -1 if (a, b) in live else 1))
+        second.append((a, b, -1 if (a, b) in live else 1))
         live ^= {(a, b)}
-    stream = first + second
-    cfg = StreamConfig(n=120, m_max=2510)
     # numpy's default sort does not keep these ties in event order
-    us, vs, _ = events_to_arrays(second)
+    us, vs, _ = events_to_arrays([EdgeEvent(*t) for t in second])
     key = (us * 121 + vs).astype(np.uint64)  # the keys net_chunks sorts
     assert not np.array_equal(np.argsort(key), np.argsort(key, kind="stable"))
-    assert _net_outcome(stream, cfg, 2500) is None
-    for a, b in (carried[0], fresh[0]):  # runs that open with a delete and with an insert
-        run = [i for i, e in enumerate(stream) if (e.u, e.v) == (a, b) and i >= 2500]
-        for i in (run[0], run[len(run) // 2], run[-1]):
-            flipped = list(stream)
-            flipped[i] = EdgeEvent(a, b, -stream[i].sign)
-            kind, message = _net_outcome(flipped, cfg, 2500)
-            assert kind in (DuplicateInsertError, DeleteAbsentError)
-            assert message.startswith(f"event {i}: ")
+    # the same events over vertices 1..120, whose keys pack with their
+    # slots, and moved to the top of the largest universe, whose keys do not
+    for n in (120, MAX_ID):
+        shift = n - 120
+        stream = [EdgeEvent(a + shift, b + shift, sign) for a, b, sign in first + second]
+        cfg = StreamConfig(n=n, m_max=2510)
+        for size in (1, 2, 7, 2500, None):
+            assert _net_outcome(stream, cfg, size) is None
+        for a, b in (carried[0], fresh[0]):  # runs that open with a delete and with an insert
+            a, b = a + shift, b + shift
+            run = [i for i, e in enumerate(stream) if (e.u, e.v) == (a, b) and i >= 2500]
+            for i in (run[0], run[len(run) // 2], run[-1]):
+                flipped = list(stream)
+                flipped[i] = EdgeEvent(a, b, -stream[i].sign)
+                for size in (2500, None):
+                    kind, message = _net_outcome(flipped, cfg, size)
+                    assert kind in (DuplicateInsertError, DeleteAbsentError)
+                    assert message.startswith(f"event {i}: ")
 
 
 def test_net_chunks_at_the_largest_universe():
     # n = 2^32 - 1, the universe of the file commands without --n: keys
-    # u*2^32 + v use all 64 bits
-    n = 2**32 - 1
-    cfg = StreamConfig(n=n, m_max=3)
-    raw = [(n - 2, n - 1, 1), (n - 1, n, 1), (1, n, 1), (n - 2, n - 1, -1), (2, n - 1, 1),
-           (1, n, -1), (n - 2, n - 1, 1)]
-    stream = [EdgeEvent(*t) for t in raw]
-    for size in (1, 2, 7):
-        assert _net_outcome(stream, cfg, size) is None
-    assert _net_outcome(stream[:4] + [EdgeEvent(n - 1, n, 1)], cfg, 2) == (
-        DuplicateInsertError, f"event 4: edge ({n - 1}, {n}) already live")
-    assert _net_outcome(stream[:5] + [EdgeEvent(n - 2, n - 1, -1)], cfg, 4) == (
-        DeleteAbsentError, f"event 5: edge ({n - 2}, {n - 1}) not live")
-    assert _net_outcome(stream[:2] + [EdgeEvent(n - 1, n + 1, 1)], cfg, 2) == (
-        OutOfUniverseError, f"event 2: endpoint outside [1, {n}]: ({n - 1}, {n + 1})")
+    # u*2^32 + v use all 64 bits.  Each chunk size also nets at the largest
+    # universe whose keys pack with its slots into one word, and at the next
+    # one up, whose keys are too wide for that.
+    def cases(n):
+        raw = [(n - 2, n - 1, 1), (n - 1, n, 1), (1, n, 1), (n - 2, n - 1, -1), (2, n - 1, 1),
+               (1, n, -1), (n - 2, n - 1, 1)]
+        stream = [EdgeEvent(*t) for t in raw]
+        return [
+            (stream, None),
+            (stream[:4] + [EdgeEvent(n - 1, n, 1)],
+             (DuplicateInsertError, f"event 4: edge ({n - 1}, {n}) already live")),
+            (stream[:5] + [EdgeEvent(n - 2, n - 1, -1)],
+             (DeleteAbsentError, f"event 5: edge ({n - 2}, {n - 1}) not live")),
+            # malformed events while edges are live; in chunks of 1 or 2 each
+            # opens its chunk, which then holds no well-formed event
+            (stream[:2] + [EdgeEvent(n - 1, n + 1, 1)],
+             (OutOfUniverseError, f"event 2: endpoint outside [1, {n}]: ({n - 1}, {n + 1})")),
+            (stream[:4] + [EdgeEvent(3, 3, 1)], (LoopEdgeError, "event 4: self-loop at vertex 3")),
+        ]
 
+    for size in (1, 2, 7, None):  # None: each stream as one chunk, of at most 7 events
+        limit = _packed_limit(size or 7)
+        for n in (limit, limit + 1, MAX_ID):
+            cfg = StreamConfig(n=n, m_max=3)
+            for stream, want in cases(n):
+                assert _net_outcome(stream, cfg, size) == want
 
 
 def test_no_chunk_outlives_the_read_of_the_next():
