@@ -63,8 +63,10 @@ def _live_edges(path: str, n: int | None) -> tuple[list[tuple[int, int]], int]:
     the first violation in file order is reported, and memory is
     O(live edges + chunk).  The universe is ``n``, or else ``MAX_ID``, with
     no capacity bound; ``StreamConfig`` refuses an ``n`` below 2 or above
-    ``MAX_ID`` before the file is opened.  The echo is ``n``, or else the
-    largest endpoint read (at least 2).
+    ``MAX_ID`` before the file is opened.  ``net_chunks`` keys the edges
+    over the ids it has read, not over the universe, so a file of small ids
+    takes its packed path with or without ``n``.  The echo is ``n``, or else
+    the largest endpoint read (at least 2).
     """
     universe = n if n is not None else MAX_ID
     cfg = StreamConfig(n=universe, m_max=sys.maxsize)

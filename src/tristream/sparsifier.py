@@ -22,7 +22,7 @@ with the degrees it leaves.
 import numpy as np
 
 from .hashing import mix2, mix2_array
-from .stream_core import DuplicateInsertError, LoopEdgeError, StreamFormatError
+from .stream_core import DuplicateInsertError, LoopEdgeError, OutOfUniverseError, StreamFormatError
 
 
 class InconsistentDeleteError(ValueError):
@@ -114,10 +114,12 @@ class SparsifiedGraph:
         """Apply a block of edge events in order; returns how many were kept.
 
         A malformed block (arrays of different lengths, an endpoint outside
-        [1, n], a self-loop or a sign other than +1 and -1) raises
-        ``ValueError`` before any state changes.  Bichromatic events are
-        dropped.  A kept event that inserts a present edge or deletes an
-        absent one raises, with the events before it applied.
+        [1, n], a self-loop or a sign other than +1 and -1) raises a
+        ``ValueError`` before any state changes, and for an endpoint outside
+        [1, n] the ``OutOfUniverseError`` every stream reader raises.
+        Bichromatic events are dropped.  A kept event that inserts a present
+        edge or deletes an absent one raises, with the events before it
+        applied.
 
         An endpoint's degree moves from d - sign to d, and its class from
         floor(log2(C(d - sign, 2))) to floor(log2(C(d, 2))), where class -1
@@ -128,7 +130,7 @@ class SparsifiedGraph:
             raise ValueError(f"event arrays differ in length: {len(us)}, {len(vs)}, {len(signs)}")
         if us.size:
             if min(us.min(), vs.min()) < 1 or max(us.max(), vs.max()) > self.n:
-                raise ValueError(f"endpoint outside universe [1, {self.n}]")
+                raise OutOfUniverseError(f"endpoint outside universe [1, {self.n}]")
             loops = np.flatnonzero(us == vs)
             if loops.size:
                 raise LoopEdgeError(f"self-loop at vertex {us[loops[0]]}")

@@ -101,11 +101,14 @@ class StreamConfig:
 
 
 def normalize_event(u_raw: int, v_raw: int, sign: int, n: int | None = None) -> EdgeEvent:
-    """Validate and canonicalize a raw event (endpoints sorted ascending)."""
-    if sign not in (1, -1):
-        raise StreamFormatError(f"sign must be +1 or -1, got {sign}")
+    """Validate and canonicalize a raw event (endpoints sorted ascending).
+
+    A loop is reported before a bad sign, as ``materialize`` reports it.
+    """
     if u_raw == v_raw:
         raise LoopEdgeError(f"self-loop at vertex {u_raw}")
+    if sign not in (1, -1):
+        raise StreamFormatError(f"sign must be +1 or -1, got {sign}")
     if u_raw < 1 or v_raw < 1 or (n is not None and (u_raw > n or v_raw > n)):
         raise OutOfUniverseError(f"endpoint outside [1, {n}]: ({u_raw}, {v_raw})")
     if u_raw < v_raw:
@@ -202,8 +205,12 @@ def net_chunks(chunks, cfg: StreamConfig) -> tuple[np.ndarray, np.ndarray]:
     and at one event it keeps the same precedence (loop, normalization and
     sign, universe, insert or delete, capacity).  Each chunk is a triple
     ``(us, vs, signs)`` in the form of ``events_to_arrays``, and only the
-    sorted keys ``u*(n+1) + v`` of the live edges outlive it.  The keys fit
-    in 64 bits because ``StreamConfig`` holds n to at most ``MAX_ID``.
+    sorted keys ``u*(top+1) + v`` of the live edges outlive it.  ``top``
+    bounds the ids read so far: when a chunk's well-formed events hold a
+    larger id, ``top`` grows to ``min(n, max(id, 2*top + 1))`` and the live
+    keys are re-keyed in one pass that keeps their order.  Doubling bounds
+    the re-keys to about log2(n) per stream.  The keys fit in 64 bits
+    because ``top <= n`` and ``StreamConfig`` holds n to at most ``MAX_ID``.
 
     Each chunk is netted in one sorted run: the live keys, as inserts,
     followed by the chunk's keys, with each key's events in event order and
@@ -216,33 +223,32 @@ def net_chunks(chunks, cfg: StreamConfig) -> tuple[np.ndarray, np.ndarray]:
     ``m_max``.  A chunk is checked whole before the next one is read, so the
     first violation in a chunk is the stream's first.
 
-    The run is built one of two ways, chosen from n and the chunk's size
-    alone; both give each entry's key and its slot, the event's position in
-    the chunk plus 1, or 0 for a live key, and share everything after.
+    The run is built one of two ways, chosen from ``top`` and the chunk's
+    size alone, so from the ids read and not from the declared universe;
+    both give each entry's key and its slot, the event's position in the
+    chunk plus 1, or 0 for a live key, and share everything after.
 
     - Packed, when a key and a slot fit in one 64-bit word together, that
-      is when ``((n+1)**2 - 1).bit_length() + size.bit_length() <= 64``;
-      at 65,536-event chunks, n below 2^23.5, about 1.19e7.  Each event is
+      is when ``((top+1)**2 - 1).bit_length() + size.bit_length() <= 64``;
+      at 65,536-event chunks, top below 2^23.5, about 1.19e7.  Each event is
       the word ``key << b | slot``, with ``b = size.bit_length()``, and each
       live key the word ``key << b``, whose slot 0 puts it first in its run.
       One value sort of the chunk's words, then a stable sort that merges
       them with the sorted live words in linear time, gives the run; a
       shift and a mask give back the key and the slot.
-    - Wide, otherwise: any larger universe for the chunk's size, such as
-      n = ``MAX_ID`` in the file commands ``exact``, ``doulion`` and
-      ``verify-lemmas`` without ``--n``.  The chunk's keys take numpy's
-      default sort, which may leave equal keys in any order; a second sort,
-      of the distinct words ``(run << 32) | position``, puts each key's
-      events back in event order.  A stable argsort then merges the two
-      sorted runs, live keys first among equal keys.
+    - Wide, otherwise, such as for ids near ``MAX_ID``.  The chunk's keys
+      take numpy's default sort, which may leave equal keys in any order; a
+      second sort, of the distinct words ``(run << 32) | position``, puts
+      each key's events back in event order.  A stable argsort then merges
+      the two sorted runs, live keys first among equal keys.
 
     Either way a chunk must hold fewer than 2^31 events; a larger one raises
-    ``ValueError``.  A chunk costs O(live + chunk log chunk).  Returns
-    (us, vs) of the edges live at the end as int64 arrays, sorted by (u, v).
+    ``ValueError``.  A chunk costs O(live + chunk log chunk), a re-key
+    O(live).  Returns (us, vs) of the edges live at the end as int64 arrays,
+    sorted by (u, v).
     """
     n = cfg.n
-    base = np.uint64(n + 1)
-    key_bits = ((n + 1) ** 2 - 1).bit_length()
+    top = 0  # at least every id read so far, and at most n
     live = np.empty(0, dtype=np.uint64)
     start = 0  # stream index of the chunk's first event
     for us, vs, signs in chunks:
@@ -255,13 +261,20 @@ def net_chunks(chunks, cfg: StreamConfig) -> tuple[np.ndarray, np.ndarray]:
         first_bad = int(np.argmax(malformed))
         k = first_bad if malformed[first_bad] else size
         del malformed
-        # every event before k is well formed; the order checks run on those
+        # every event before k is well formed, with 1 <= u < v <= n; the
+        # order checks run on those, over keys u*(top+1) + v
+        if k and (high := int(vs[:k].max())) > top:
+            grown = min(n, max(high, 2 * top + 1))
+            # u*(top+1) + v becomes u*(grown+1) + v, which keeps the keys' order
+            live += live // np.uint64(top + 1) * np.uint64(grown - top)
+            top = grown
+        base = np.uint64(top + 1)
         ps = signs[:k]
         held = live.size
         ck = np.multiply(us[:k], base, dtype=np.uint64, casting="unsafe")
         np.add(ck, vs[:k], out=ck, dtype=np.uint64, casting="unsafe")
         b = size.bit_length()
-        if key_bits + b <= 64:
+        if ((top + 1) ** 2 - 1).bit_length() + b <= 64:
             shift = np.uint64(b)
             ck <<= shift
             ck |= np.arange(1, k + 1, dtype=np.uint64)
@@ -326,7 +339,7 @@ def net_chunks(chunks, cfg: StreamConfig) -> tuple[np.ndarray, np.ndarray]:
         # the next chunk is read and parsed, not when the loop reassigns them
         del us, vs, signs, ps, key, slot, ins, same, repeat, last
     us, vs = np.empty((2, live.size), dtype=np.int64)
-    np.divmod(live, base, out=(us, vs), casting="unsafe")
+    np.divmod(live, np.uint64(top + 1), out=(us, vs), casting="unsafe")
     return us, vs
 
 

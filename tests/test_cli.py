@@ -423,16 +423,20 @@ def test_file_commands_match_materialize_on_churned_streams(tmp_path, capsys):
     with open(path, "w") as f:
         write_stream(events, f)
     ref = materialize(events, StreamConfig(n=n, m_max=len(events)))
-    graph, got_n = cli._final_graph(str(path), None)
-    assert got_n == n
-    assert graph.adj == ref.adj and graph.m == ref.m
-    assert set(graph.edges()) == set(ref.edges())
-
-    code, out = run_cli(["exact", str(path)], capsys)
     stats = graph_stats(ref)
-    assert code == 0 and json.loads(out)["t3"] == stats.t3 and json.loads(out)["p2"] == stats.p2
-    code, out = run_cli(["verify-lemmas", str(path)], capsys)
-    assert json.loads(out)["report"] == asdict(verify_lower_bounds(ref.adj))
+    # in the reader's chunks, and in chunks of 64 events, over which the
+    # bound on the ids read grows while edges are live
+    for chunking in (contextlib.nullcontext(), chunk_size(64)):
+        with chunking:
+            graph, got_n = cli._final_graph(str(path), None)
+            assert got_n == n
+            assert graph.adj == ref.adj and graph.m == ref.m
+            assert set(graph.edges()) == set(ref.edges())
+
+            code, out = run_cli(["exact", str(path)], capsys)
+            assert code == 0 and json.loads(out)["t3"] == stats.t3 and json.loads(out)["p2"] == stats.p2
+            code, out = run_cli(["verify-lemmas", str(path)], capsys)
+            assert json.loads(out)["report"] == asdict(verify_lower_bounds(ref.adj))
 
 
 def _toggled_stream(path, edges, toggles):

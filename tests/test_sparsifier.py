@@ -10,7 +10,7 @@ from tristream.generators import complete_edges, edges_to_events, mixed_update_s
 from tristream.hashing import mix2
 from tristream.indep_paths import enumerate_two_paths
 from tristream.sparsifier import ColoringFunction, InconsistentDeleteError, SparsifiedGraph
-from tristream.stream_core import DuplicateInsertError, events_to_arrays
+from tristream.stream_core import DuplicateInsertError, OutOfUniverseError, events_to_arrays
 
 
 def _block(triples):
@@ -215,9 +215,10 @@ def test_apply_events_rejects_out_of_universe():
         for u, v in ((0, 5), (11, 5), (5, 0), (5, 11)):
             with pytest.raises(ValueError):
                 g.apply(u, v, 1)
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError) as raised:
                 g.apply_events(np.array([u], dtype=np.uint64), np.array([v], dtype=np.uint64),
                                np.array([1], dtype=np.int64))
+            assert raised.type is OutOfUniverseError
         # ids no uint64 holds reach ``apply`` too
         for u, v in ((2**70, 5), (-1, 5)):
             with pytest.raises(ValueError):

@@ -47,6 +47,9 @@ def test_normalize_rejects_loops_and_universe():
         normalize_event(2, 11, 1, n=10)
     with pytest.raises(StreamFormatError):
         normalize_event(1, 2, 0)
+    # a loop with a bad sign is a loop, as materialize and net_chunks read it
+    with pytest.raises(LoopEdgeError):
+        normalize_event(3, 3, 0)
 
 
 def test_config_validation():
@@ -238,6 +241,13 @@ def test_net_chunks_carries_the_live_set_across_chunks():
     assert list(zip(us.tolist(), vs.tolist())) == [(1, 2), (2, 3), (4, 5)]
 
 
+def _chunks(stream, size=None):
+    """``stream`` as array chunks of ``size`` events; ``size`` None: one chunk."""
+    us, vs, signs = events_to_arrays(stream)
+    size = size or max(us.size, 1)
+    return [(us[i:i + size], vs[i:i + size], signs[i:i + size]) for i in range(0, us.size, size)]
+
+
 def _net_outcome(stream, cfg, size=None):
     """``materialize``'s outcome for ``stream``, checked against ``net_chunks`` in chunks of ``size``.
 
@@ -245,9 +255,7 @@ def _net_outcome(stream, cfg, size=None):
     """
     graphs, nets = [], []
     want = contract_outcome(lambda: graphs.append(materialize(stream, cfg)))
-    us, vs, signs = events_to_arrays(stream)
-    size = size or max(us.size, 1)
-    chunks = [(us[i:i + size], vs[i:i + size], signs[i:i + size]) for i in range(0, us.size, size)]
+    chunks = _chunks(stream, size)
     assert contract_outcome(lambda: nets.append(net_chunks(chunks, cfg))) == want
     if want is None:
         assert list(zip(*(a.tolist() for a in nets[0]))) == sorted(graphs[0].edges())
@@ -267,10 +275,12 @@ def test_net_chunks_keeps_event_order_within_long_chunks():
 
 
 def _packed_limit(size):
-    """The largest n whose edge keys pack with the slots of a ``size``-event chunk into 64 bits.
+    """The largest id whose edge keys pack with the slots of a ``size``-event chunk into 64 bits.
 
-    ``net_chunks`` packs a chunk when ``((n+1)**2 - 1).bit_length() +
-    size.bit_length() <= 64``, that is when (n+1)^2 <= 2^(64 - size.bit_length()).
+    ``net_chunks`` keys the edges over a bound ``top`` on the ids read, which
+    is the largest id read while that is the universe's n, and packs a chunk
+    when ``((top+1)**2 - 1).bit_length() + size.bit_length() <= 64``, that is
+    when (top+1)^2 <= 2^(64 - size.bit_length()).
     """
     return math.isqrt(2 ** (64 - size.bit_length())) - 1
 
@@ -313,33 +323,99 @@ def test_net_chunks_restores_event_order_among_equal_keys_beside_a_larger_live_s
 
 
 def test_net_chunks_at_the_largest_universe():
-    # n = 2^32 - 1, the universe of the file commands without --n: keys
-    # u*2^32 + v use all 64 bits.  Each chunk size also nets at the largest
-    # universe whose keys pack with its slots into one word, and at the next
-    # one up, whose keys are too wide for that.
-    def cases(n):
-        raw = [(n - 2, n - 1, 1), (n - 1, n, 1), (1, n, 1), (n - 2, n - 1, -1), (2, n - 1, 1),
-               (1, n, -1), (n - 2, n - 1, 1)]
+    # Ids up to 2^32 - 1, the largest universe, whose keys u*2^32 + v use
+    # all 64 bits.  Each chunk size also nets streams
+    # whose largest id is the largest whose keys pack with its slots into
+    # one word, and the next one up, whose keys are too wide for that; each
+    # in a universe of its largest id, which caps top there, and in the
+    # largest universe, where top doubles past it.
+    def cases(top, n):
+        raw = [(top - 2, top - 1, 1), (top - 1, top, 1), (1, top, 1), (top - 2, top - 1, -1),
+               (2, top - 1, 1), (1, top, -1), (top - 2, top - 1, 1)]
         stream = [EdgeEvent(*t) for t in raw]
         return [
             (stream, None),
-            (stream[:4] + [EdgeEvent(n - 1, n, 1)],
-             (DuplicateInsertError, f"event 4: edge ({n - 1}, {n}) already live")),
-            (stream[:5] + [EdgeEvent(n - 2, n - 1, -1)],
-             (DeleteAbsentError, f"event 5: edge ({n - 2}, {n - 1}) not live")),
+            (stream[:4] + [EdgeEvent(top - 1, top, 1)],
+             (DuplicateInsertError, f"event 4: edge ({top - 1}, {top}) already live")),
+            (stream[:5] + [EdgeEvent(top - 2, top - 1, -1)],
+             (DeleteAbsentError, f"event 5: edge ({top - 2}, {top - 1}) not live")),
             # malformed events while edges are live; in chunks of 1 or 2 each
             # opens its chunk, which then holds no well-formed event
-            (stream[:2] + [EdgeEvent(n - 1, n + 1, 1)],
-             (OutOfUniverseError, f"event 2: endpoint outside [1, {n}]: ({n - 1}, {n + 1})")),
+            (stream[:2] + [EdgeEvent(top - 1, n + 1, 1)],
+             (OutOfUniverseError, f"event 2: endpoint outside [1, {n}]: ({top - 1}, {n + 1})")),
             (stream[:4] + [EdgeEvent(3, 3, 1)], (LoopEdgeError, "event 4: self-loop at vertex 3")),
         ]
 
     for size in (1, 2, 7, None):  # None: each stream as one chunk, of at most 7 events
         limit = _packed_limit(size or 7)
-        for n in (limit, limit + 1, MAX_ID):
-            cfg = StreamConfig(n=n, m_max=3)
-            for stream, want in cases(n):
-                assert _net_outcome(stream, cfg, size) == want
+        for top in (limit, limit + 1, MAX_ID):
+            for n in sorted({top, MAX_ID}):
+                cfg = StreamConfig(n=n, m_max=3)
+                for stream, want in cases(top, n):
+                    assert _net_outcome(stream, cfg, size) == want
+
+
+def _argsort_calls(monkeypatch, stream, n, size=None):
+    """How often ``net_chunks`` calls ``np.argsort``, which only its wide path does,
+    netting ``stream`` in chunks of ``size`` (None: one chunk) in universe ``n``."""
+    calls = []
+    argsort = np.argsort
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return argsort(*args, **kwargs)
+
+    chunks = _chunks(stream, size)
+    with monkeypatch.context() as m:
+        m.setattr(np, "argsort", spy)
+        net_chunks(chunks, StreamConfig(n=n, m_max=len(stream)))
+    return len(calls)
+
+
+def test_net_chunks_chooses_the_sort_from_the_ids_read(monkeypatch):
+    events = mixed_update_stream(120, 3000, seed=7)
+    for size in (1, 7, 1000, None):
+        # small ids pack at the largest universe, and ids at the packed
+        # limit pack in a universe of that limit
+        assert _argsort_calls(monkeypatch, events, MAX_ID, size) == 0
+        limit = _packed_limit(size or len(events))
+        shifted = [EdgeEvent(e.u + limit - 120, e.v + limit - 120, e.sign) for e in events]
+        assert _argsort_calls(monkeypatch, shifted, limit, size) == 0
+        # ids near MAX_ID take the wide path, twice per chunk
+        shifted = [EdgeEvent(e.u + MAX_ID - 120, e.v + MAX_ID - 120, e.sign) for e in events]
+        assert _argsort_calls(monkeypatch, shifted, MAX_ID, size) == 2 * len(_chunks(shifted, size))
+    # small ids, then ids near MAX_ID: chunks pack until one reads a large id
+    high = [EdgeEvent(MAX_ID - 1, MAX_ID, 1), EdgeEvent(1, MAX_ID, 1), EdgeEvent(1, MAX_ID, -1)]
+    stream = events[:40] + high + events[40:60]
+    assert _argsort_calls(monkeypatch, stream, MAX_ID, 7) == 2 * (len(_chunks(stream, 7)) - 40 // 7)
+
+
+def test_net_chunks_rekeys_the_live_edges_as_the_ids_grow():
+    # Each round brings an id about twice the last while the first edges
+    # stay live, so top grows chunk by chunk and the live keys are re-keyed
+    # each time.  The last ids are near MAX_ID, so a chunked stream goes
+    # from packed to wide with live edges carried across.
+    ids = [3, 5, 9, 17, 40, 129, 1000, 70_000, 2**20, 2**24 + 3, MAX_ID - 1, MAX_ID]
+    stream = [EdgeEvent(1, 2, 1), EdgeEvent(1, 3, 1), EdgeEvent(2, 3, 1)]
+    grows = []  # the index of each event that brings a larger id
+    for a, b in zip(ids, ids[1:]):
+        grows.append(len(stream))
+        # an odd number of events per round, so chunks of 2 cut rounds both ways
+        stream += [EdgeEvent(a, b, 1), EdgeEvent(1, b, 1), EdgeEvent(1, 2, -1), EdgeEvent(1, 2, 1),
+                   EdgeEvent(a, b, -1)]
+    # the early edges deleted after every re-key
+    stream += [EdgeEvent(1, 3, -1), EdgeEvent(2, 3, -1), EdgeEvent(1, 2, -1), EdgeEvent(1, 5, -1)]
+    cfg = StreamConfig(n=MAX_ID, m_max=len(ids) + 3)
+    for size in (1, 2, 7, None):
+        assert _net_outcome(stream, cfg, size) is None
+        for i in grows:
+            b = stream[i].v
+            # a duplicate insert right after the larger id, and an absent
+            # delete that brings it
+            assert _net_outcome(stream[:i + 1] + [EdgeEvent(1, 3, 1)], cfg, size) == (
+                DuplicateInsertError, f"event {i + 1}: edge (1, 3) already live")
+            assert _net_outcome(stream[:i] + [EdgeEvent(1, b, -1)], cfg, size) == (
+                DeleteAbsentError, f"event {i}: edge (1, {b}) not live")
 
 
 def test_no_chunk_outlives_the_read_of_the_next():
