@@ -9,7 +9,7 @@ which is what the sparsify-then-sample estimator is built to avoid.
 
 from .hashing import MASK64, mix2
 from .oracles import exact_triangles
-from .stream_core import AdjacencyGraph, EdgeEvent, apply_event
+from .stream_core import AdjacencyGraph, EdgeEvent, StreamError, _malformed, apply_event
 
 
 def check_keep_probability(p: float, name: str = "keep probability") -> None:
@@ -42,14 +42,26 @@ class DoulionCounter:
         return mix2(self.seed, key) < self._threshold
 
     def update(self, event: EdgeEvent) -> None:
+        """Apply one event if its coin keeps it; a malformed one raises first.
+
+        Loops, reversed pairs, signs other than +1 and -1 and ids outside
+        [1, n] raise ``_malformed``'s error whatever the coin says.
+        """
+        err = _malformed(event.u, event.v, event.sign, self.n)
+        if err is not None:
+            raise err
         if not self._keeps(event.u, event.v):
             return
         apply_event(self._graph, event)
         self.kept += event.sign
 
     def update_many(self, events) -> None:
-        for event in events:
-            self.update(event)
+        """``update`` each event in order; an error carries the event's 0-based index."""
+        for i, event in enumerate(events):
+            try:
+                self.update(event)
+            except StreamError as err:
+                raise type(err)(f"event {i}: {err}") from None
 
     def estimate(self) -> float:
         return exact_triangles(self._graph) / (self.p**3)

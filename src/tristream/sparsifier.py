@@ -22,7 +22,7 @@ with the degrees it leaves.
 import numpy as np
 
 from .hashing import mix2, mix2_array
-from .stream_core import DuplicateInsertError, LoopEdgeError, OutOfUniverseError, StreamFormatError
+from .stream_core import DuplicateInsertError, _malformed, first_malformed
 
 
 class InconsistentDeleteError(ValueError):
@@ -113,13 +113,14 @@ class SparsifiedGraph:
     def apply_events(self, us: np.ndarray, vs: np.ndarray, signs: np.ndarray) -> int:
         """Apply a block of edge events in order; returns how many were kept.
 
-        A malformed block (arrays of different lengths, an endpoint outside
-        [1, n], a self-loop or a sign other than +1 and -1) raises a
-        ``ValueError`` before any state changes, and for an endpoint outside
-        [1, n] the ``OutOfUniverseError`` every stream reader raises.
-        Bichromatic events are dropped.  A kept event that inserts a present
-        edge or deletes an absent one raises, with the events before it
-        applied.
+        Each event's endpoints are sorted first, so (v, u) is the edge
+        (u, v).  Arrays of different lengths raise ``ValueError``, and a
+        malformed event (a self-loop, a sign other than +1 and -1, or an
+        endpoint outside [1, n]) raises the error ``net_chunks`` raises for
+        the first one, with its ``event i:`` prefix, both before any state
+        changes.  Bichromatic events are dropped.  A kept event that inserts
+        a present edge or deletes an absent one raises, with the events
+        before it applied.
 
         An endpoint's degree moves from d - sign to d, and its class from
         floor(log2(C(d - sign, 2))) to floor(log2(C(d, 2))), where class -1
@@ -128,15 +129,10 @@ class SparsifiedGraph:
         """
         if not len(us) == len(vs) == len(signs):
             raise ValueError(f"event arrays differ in length: {len(us)}, {len(vs)}, {len(signs)}")
-        if us.size:
-            if min(us.min(), vs.min()) < 1 or max(us.max(), vs.max()) > self.n:
-                raise OutOfUniverseError(f"endpoint outside universe [1, {self.n}]")
-            loops = np.flatnonzero(us == vs)
-            if loops.size:
-                raise LoopEdgeError(f"self-loop at vertex {us[loops[0]]}")
-            bad = np.flatnonzero((signs != 1) & (signs != -1))
-            if bad.size:
-                raise StreamFormatError(f"sign must be +1 or -1, got {signs[bad[0]]}")
+        us, vs = np.minimum(us, vs), np.maximum(us, vs)
+        if (i := first_malformed(us, vs, signs, self.n)) < len(us):
+            err = _malformed(int(us[i]), int(vs[i]), int(signs[i]), self.n)
+            raise type(err)(f"event {i}: {err}")
         if self.coloring.colors > 1:
             keep = np.flatnonzero(
                 self.coloring.colors_of(us) == self.coloring.colors_of(vs)

@@ -15,6 +15,7 @@ chunk by chunk and keeps only the live edges, so a long stream is read and
 checked in memory proportional to the live edges plus one chunk.
 """
 
+import math
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import IO, Iterable, Iterator
@@ -65,10 +66,14 @@ def _require_integer(x, name: str) -> None:
 
 @dataclass(frozen=True, slots=True)
 class EdgeEvent:
-    """A signed edge update; endpoints are normalized so u < v.
+    """A signed edge update, stored as given.
 
-    A float or bool field raises ``ValueError`` here, by ``int64_array``'s
-    rule, so ``events_to_arrays`` and ``materialize`` only ever see integers.
+    It is not normalized or checked against the contract: ``normalize_event``
+    builds one with u < v, and the readers reject a loop, u > v, a sign
+    other than +1 and -1, or an id outside the universe by ``_malformed``'s
+    rule.  A float or bool field raises ``ValueError`` here, by
+    ``int64_array``'s rule, so ``events_to_arrays`` and ``materialize`` only
+    ever see integers.
     """
 
     u: int
@@ -100,20 +105,17 @@ class StreamConfig:
             raise ValueError(f"m_max must be positive, got {self.m_max}")
 
 
-def normalize_event(u_raw: int, v_raw: int, sign: int, n: int | None = None) -> EdgeEvent:
-    """Validate and canonicalize a raw event (endpoints sorted ascending).
+def normalize_event(u_raw: int, v_raw: int, sign: int, n: int = MAX_ID) -> EdgeEvent:
+    """The event with its endpoints sorted ascending, checked by ``_malformed``'s rule.
 
-    A loop is reported before a bad sign, as ``materialize`` reports it.
+    A loop, a sign other than +1 and -1, or an endpoint outside [1, n] raises
+    ``_malformed``'s error for the sorted pair, as ``net_chunks`` reports it.
     """
-    if u_raw == v_raw:
-        raise LoopEdgeError(f"self-loop at vertex {u_raw}")
-    if sign not in (1, -1):
-        raise StreamFormatError(f"sign must be +1 or -1, got {sign}")
-    if u_raw < 1 or v_raw < 1 or (n is not None and (u_raw > n or v_raw > n)):
-        raise OutOfUniverseError(f"endpoint outside [1, {n}]: ({u_raw}, {v_raw})")
-    if u_raw < v_raw:
-        return EdgeEvent(u_raw, v_raw, sign)
-    return EdgeEvent(v_raw, u_raw, sign)
+    u, v = min(u_raw, v_raw), max(u_raw, v_raw)
+    err = _malformed(u, v, sign, n)
+    if err is not None:
+        raise err
+    return EdgeEvent(u, v, sign)
 
 
 class AdjacencyGraph:
@@ -166,7 +168,11 @@ def apply_event(graph: AdjacencyGraph, e: EdgeEvent) -> AdjacencyGraph:
 
 
 def _malformed(u: int, v: int, sign: int, n: int) -> StreamError | None:
-    """The first loop, normalization, sign or universe error of one event, if any."""
+    """The first loop, normalization, sign or universe error of one event, if any.
+
+    This and ``first_malformed`` state the per-event rule of the contract;
+    every reader checks an event through one of the two.
+    """
     if u == v:
         return LoopEdgeError(f"self-loop at vertex {u}")
     if u > v:
@@ -176,6 +182,12 @@ def _malformed(u: int, v: int, sign: int, n: int) -> StreamError | None:
     if u < 1 or v > n:
         return OutOfUniverseError(f"endpoint outside [1, {n}]: ({u}, {v})")
     return None
+
+
+def first_malformed(us: np.ndarray, vs: np.ndarray, signs: np.ndarray, n: int) -> int:
+    """The index of the first event that ``_malformed`` rejects, or the block's size."""
+    bad = np.flatnonzero((us >= vs) | ((signs != 1) & (signs != -1)) | (us < 1) | (vs > n))
+    return int(bad[0]) if bad.size else len(us)
 
 
 def materialize(events: Iterable[EdgeEvent], cfg: StreamConfig) -> AdjacencyGraph:
@@ -205,12 +217,14 @@ def net_chunks(chunks, cfg: StreamConfig) -> tuple[np.ndarray, np.ndarray]:
     and at one event it keeps the same precedence (loop, normalization and
     sign, universe, insert or delete, capacity).  Each chunk is a triple
     ``(us, vs, signs)`` in the form of ``events_to_arrays``, and only the
-    sorted keys ``u*(top+1) + v`` of the live edges outlive it.  ``top``
-    bounds the ids read so far: when a chunk's well-formed events hold a
-    larger id, ``top`` grows to ``min(n, max(id, 2*top + 1))`` and the live
-    keys are re-keyed in one pass that keeps their order.  Doubling bounds
-    the re-keys to about log2(n) per stream.  The keys fit in 64 bits
-    because ``top <= n`` and ``StreamConfig`` holds n to at most ``MAX_ID``.
+    sorted keys ``u*(top+1) + v`` of the live edges outlive it.  The
+    malformed events are found by ``first_malformed``.  ``top`` bounds the
+    ids read so far: when a chunk's well-formed events hold a larger id,
+    ``top`` grows to ``min(n, max(id, 2*top + 1))``, but to at most the
+    packed limit below while the id is within it, and the live keys are
+    re-keyed in one pass that keeps their order.  Doubling bounds the
+    re-keys to about log2(n) per stream.  The keys fit in 64 bits because
+    ``top <= n`` and ``StreamConfig`` holds n to at most ``MAX_ID``.
 
     Each chunk is netted in one sorted run: the live keys, as inserts,
     followed by the chunk's keys, with each key's events in event order and
@@ -229,10 +243,11 @@ def net_chunks(chunks, cfg: StreamConfig) -> tuple[np.ndarray, np.ndarray]:
     chunk plus 1, or 0 for a live key, and share everything after.
 
     - Packed, when a key and a slot fit in one 64-bit word together, that
-      is when ``((top+1)**2 - 1).bit_length() + size.bit_length() <= 64``;
-      at 65,536-event chunks, top below 2^23.5, about 1.19e7.  Each event is
-      the word ``key << b | slot``, with ``b = size.bit_length()``, and each
-      live key the word ``key << b``, whose slot 0 puts it first in its run.
+      is when ``top`` is at most the packed limit
+      ``isqrt(2**(64 - size.bit_length())) - 1``, 11,863,282 at
+      65,536-event chunks.  Each event is the word ``key << b | slot``,
+      with ``b = size.bit_length()``, and each live key the word
+      ``key << b``, whose slot 0 puts it first in its run.
       One value sort of the chunk's words, then a stable sort that merges
       them with the sorted live words in linear time, gives the run; a
       shift and a mask give back the key and the slot.
@@ -257,14 +272,14 @@ def net_chunks(chunks, cfg: StreamConfig) -> tuple[np.ndarray, np.ndarray]:
             continue
         if size >= 1 << 31:
             raise ValueError(f"chunk too large to sort by event position: {size} events")
-        malformed = (us == vs) | (us > vs) | (np.abs(signs) != 1) | (us < 1) | (vs > n)
-        first_bad = int(np.argmax(malformed))
-        k = first_bad if malformed[first_bad] else size
-        del malformed
+        k = first_malformed(us, vs, signs, n)
         # every event before k is well formed, with 1 <= u < v <= n; the
         # order checks run on those, over keys u*(top+1) + v
+        b = size.bit_length()
+        limit = math.isqrt(1 << (64 - b)) - 1  # the largest top whose keys pack
         if k and (high := int(vs[:k].max())) > top:
-            grown = min(n, max(high, 2 * top + 1))
+            # doubling stops at the packed limit while the ids read are below it
+            grown = min(n, max(high, 2 * top + 1), limit if high <= limit else n)
             # u*(top+1) + v becomes u*(grown+1) + v, which keeps the keys' order
             live += live // np.uint64(top + 1) * np.uint64(grown - top)
             top = grown
@@ -273,8 +288,7 @@ def net_chunks(chunks, cfg: StreamConfig) -> tuple[np.ndarray, np.ndarray]:
         held = live.size
         ck = np.multiply(us[:k], base, dtype=np.uint64, casting="unsafe")
         np.add(ck, vs[:k], out=ck, dtype=np.uint64, casting="unsafe")
-        b = size.bit_length()
-        if ((top + 1) ** 2 - 1).bit_length() + b <= 64:
+        if top <= limit:
             shift = np.uint64(b)
             ck <<= shift
             ck |= np.arange(1, k + 1, dtype=np.uint64)
@@ -356,7 +370,12 @@ def _line_error(kind: type[StreamError], lineno: int, message: str) -> StreamErr
 def iter_stream(
     f: IO[str] | Iterable[str], n: int | None = None, start: int = 1
 ) -> Iterator[tuple[int, EdgeEvent]]:
-    """Yield (line_number, event) pairs from a text stream whose first line is ``start``."""
+    """Yield (line_number, event) pairs from a text stream whose first line is ``start``.
+
+    Each event goes through ``normalize_event`` in the universe [1, n]; n
+    None reads as ``MAX_ID``, the largest universe.
+    """
+    n = MAX_ID if n is None else n
     for lineno, line in enumerate(f, start=start):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
@@ -379,15 +398,15 @@ def read_stream(f: IO[str], n: int | None = None) -> list[EdgeEvent]:
     return [e for _, e in iter_stream(f, n)]
 
 
-def _parse_block(text: str, n: int | None):
+def _parse_block(text: str, n: int):
     """The events of a block of whole lines as (us, vs, signs), or None.
 
-    None when a line fails the strict gate, or when an event is a loop or
-    has an endpoint outside [1, n] (n None: no upper bound).  The gate
-    passes comment lines (first character ``#``), empty lines, and event
-    lines that are exactly a ``+`` or ``-``, one space, 1 to 18 ASCII
-    digits, one space, 1 to 18 digits; ``iter_stream`` reads every such
-    line the same way.  Whatever else ``iter_stream`` accepts (other
+    None when a line fails the strict gate, or when ``first_malformed``
+    rejects an event once its endpoints are sorted: a loop, or an endpoint
+    outside [1, n].  The gate passes comment lines (first character ``#``),
+    empty lines, and event lines that are exactly a ``+`` or ``-``, one
+    space, 1 to 18 ASCII digits, one space, 1 to 18 digits; ``iter_stream``
+    reads every such line the same way.  Whatever else ``iter_stream`` accepts (other
     whitespace, a sign glued to a number, longer numbers) is left to it.
     """
     if not text.endswith("\n"):
@@ -424,7 +443,7 @@ def _parse_block(text: str, n: int | None):
     uv = np.fromstring(digits.tobytes(), dtype=np.int64, sep=" ").reshape(-1, 2)
     u, v = uv[:, 0], uv[:, 1]
     lo, hi = np.minimum(u, v), np.maximum(u, v)
-    if (lo == hi).any() or (lo < 1).any() or (n is not None and (hi > n).any()):
+    if first_malformed(lo, hi, signs, n) < lo.size:
         return None
     return lo, hi, signs
 
@@ -435,14 +454,16 @@ def read_chunks(
     """Read a text stream as ``(us, vs, signs)`` chunks of at most ``_CHUNK_EVENTS`` events.
 
     The events, errors, messages and line numbers are those of
-    ``iter_stream``.  Lines are read in blocks of ``_CHUNK_EVENTS``, and a
-    block that ``_parse_block`` reads is parsed in one numpy pass.  Any other
-    block is read again by ``iter_stream`` from its first line number; if it
-    raises, the events before the bad line come as a chunk first, so that a
-    consumer that checks each chunk before asking for the next meets
-    violations in file order.  Endpoints are normalized (u < v) and int64,
+    ``iter_stream``, and n None reads as ``MAX_ID`` here too.  Lines are
+    read in blocks of ``_CHUNK_EVENTS``, and a block that ``_parse_block``
+    reads is parsed in one numpy pass.  Any other block is read again by
+    ``iter_stream`` from its first line number; if it raises, the events
+    before the bad line come as a chunk first, so that a consumer that
+    checks each chunk before asking for the next meets violations in file
+    order.  Endpoints are normalized (u < v) and int64,
     as ``events_to_arrays`` gives them; chunks are never empty.
     """
+    n = MAX_ID if n is None else n
     lineno = 1
     while lines := list(islice(f, _CHUNK_EVENTS)):
         count = len(lines)

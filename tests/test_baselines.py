@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings
 
+from conftest import contract_outcome, small_streams
 from tristream.baselines import DoulionCounter
 from tristream.generators import complete_edges, edges_to_events, with_churn
-from tristream.stream_core import EdgeEvent
+from tristream.stream_core import EdgeEvent, LoopEdgeError, StreamConfig, materialize
 
 
 def test_full_keep_probability_is_exact_under_churn():
@@ -60,3 +62,27 @@ def test_mean_estimate_is_close_on_complete_graph():
         total += counter.estimate()
     mean = total / trials
     assert abs(mean - 56.0) <= 0.15 * 56.0
+
+
+def test_malformed_events_raise_before_the_coin():
+    # the loop, the out-of-universe edge and the reversed pair each raise,
+    # whether or not the coin would keep them
+    stream = [EdgeEvent(3, 3, 1), EdgeEvent(0, 9, 1), EdgeEvent(4, 2, 1), EdgeEvent(2, 4, 1)]
+    with pytest.raises(LoopEdgeError, match=r"^event 0: self-loop at vertex 3$"):
+        DoulionCounter(5, 1.0).update_many(stream)
+    for p in (1.0, 2.0**-64):
+        for i, e in enumerate(stream[:3]):
+            counter = DoulionCounter(5, p)
+            outcome = contract_outcome(lambda: counter.update_many([EdgeEvent(1, 2, 1), e]))
+            assert outcome == contract_outcome(
+                lambda: materialize([EdgeEvent(1, 2, 1), e], StreamConfig(n=5, m_max=5)))
+            assert outcome[1].startswith("event 1: ")
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_streams())
+def test_full_keep_probability_rejects_what_materialize_rejects(case):
+    n, _, events = case
+    cfg = StreamConfig(n=n, m_max=len(events) + 1)
+    want = contract_outcome(lambda: materialize(events, cfg))
+    assert contract_outcome(lambda: DoulionCounter(n, 1.0).update_many(events)) == want

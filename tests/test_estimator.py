@@ -671,6 +671,29 @@ def test_one_color_report_at_default_knobs_is_frozen():
     assert (report.p2_hat, report.alpha_hat, report.ell) == (28697.5, 3809 / 23966, 23966)
 
 
+def test_two_color_report_at_default_knobs_is_frozen():
+    # 705 disjoint paths of two edges and 10 disjoint triangles; m_max =
+    # 11,250 derives 2 colors at the default knobs.  Every degree is at most
+    # 2, so no copy qualifies from its degrees: a copy with P2' < s fails
+    # there, and the rest go to the greedy, which qualifies some (an intact
+    # path is one independent 2-path) and fails others (a triangle's three
+    # 2-paths count once).  The indicators and alpha_hat are not pinned.
+    edges = [(3 * i + a, 3 * i + b) for i in range(705) for a, b in ((1, 2), (2, 3))]
+    edges += [(3 * i + a, 3 * i + b) for i in range(705, 715) for a, b in ((1, 2), (1, 3), (2, 3))]
+    cfg = derive_config(n=3 * 715, m_max=11_250, seed=2)
+    assert (cfg.colors, cfg.k, cfg.s) == (2, 23966, 200)
+    columns = estimate_triangles(edges_to_events(edges), cfg).columns
+    assert sum(columns.qualified) == 929
+    assert (sum(columns.m_prime), sum(columns.p2_total)) == (17_257_633, 4_405_321)
+    assert list(zip(columns.m_prime[:10], columns.p2_total[:10], columns.qualified[:10])) == [
+        (726, 182, False), (723, 178, False), (733, 200, False), (691, 159, False),
+        (710, 173, False), (701, 172, False), (685, 169, False), (759, 191, False),
+        (729, 173, False), (704, 173, False),
+    ]
+    assert [i for i, ok in enumerate(columns.qualified) if ok][:10] == [
+        20, 27, 31, 45, 50, 53, 96, 153, 189, 190]
+
+
 def test_one_color_copies_draw_independently():
     # K4 minus the edge (3, 4): P2 = 8, closed 2-paths 6, alpha = 0.75.  A
     # batch that reused one draw for every copy would read 0 or 1.

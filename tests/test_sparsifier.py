@@ -4,13 +4,23 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import BULL, adjacency
+from conftest import BULL, adjacency, small_streams
 from tristream.generators import complete_edges, edges_to_events, mixed_update_stream
 from tristream.hashing import mix2
 from tristream.indep_paths import enumerate_two_paths
 from tristream.sparsifier import ColoringFunction, InconsistentDeleteError, SparsifiedGraph
-from tristream.stream_core import DuplicateInsertError, OutOfUniverseError, events_to_arrays
+from tristream.stream_core import (
+    DuplicateInsertError,
+    EdgeEvent,
+    LoopEdgeError,
+    OutOfUniverseError,
+    StreamConfig,
+    StreamFormatError,
+    events_to_arrays,
+    net_chunks,
+)
 
 
 def _block(triples):
@@ -263,6 +273,50 @@ def test_audit_detects_slot_drift():
     g.p2_bucket[0] += 1
     with pytest.raises(RuntimeError):
         g.audit()
+
+
+def _outcome(fn):
+    """None if ``fn`` runs, else the type and message of the ``ValueError`` it raises."""
+    try:
+        fn()
+    except ValueError as err:
+        return type(err), str(err)
+    return None
+
+
+def _agrees_with_net_chunks(n, events):
+    """Check that one-colour ``apply_events`` meets a malformed event as ``net_chunks`` does.
+
+    Endpoints are sorted first, since ``apply_events`` reads (v, u) as
+    (u, v) and ``net_chunks`` refuses it.  When ``net_chunks``' first
+    violation is a loop, a bad sign or an id outside [1, n], ``apply_events``
+    raises the same type and message, event index included; a valid block
+    applies.  Returns ``net_chunks``' outcome.
+    """
+    arrays = events_to_arrays([EdgeEvent(min(e.u, e.v), max(e.u, e.v), e.sign) for e in events])
+    want = _outcome(lambda: net_chunks([arrays], StreamConfig(n=n, m_max=len(events) + 1)))
+    got = _outcome(lambda: SparsifiedGraph(n, ColoringFunction(0, 1)).apply_events(*arrays))
+    if want is None or want[0] in (LoopEdgeError, OutOfUniverseError, StreamFormatError):
+        assert got == want
+    return want
+
+
+def test_apply_events_reports_the_first_malformed_event_as_net_chunks_does():
+    # each block's first event is malformed and a later one is malformed another way
+    for raw, want in (
+        ([(1, 2, 0), (4, 4, -1)], (StreamFormatError, "event 0: sign must be +1 or -1, got 0")),
+        ([(3, 3, 1), (0, 5, 1)], (LoopEdgeError, "event 0: self-loop at vertex 3")),
+        ([(1, 2, 1), (11, 5, 1), (0, 0, 1)],
+         (OutOfUniverseError, "event 1: endpoint outside [1, 10]: (5, 11)")),
+    ):
+        assert _agrees_with_net_chunks(10, [EdgeEvent(*t) for t in raw]) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_streams())
+def test_apply_events_agrees_with_net_chunks_on_malformed_blocks(case):
+    n, _, events = case
+    _agrees_with_net_chunks(n, events)
 
 
 def test_large_universe_short_block_stays_small():

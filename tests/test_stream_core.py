@@ -50,6 +50,11 @@ def test_normalize_rejects_loops_and_universe():
     # a loop with a bad sign is a loop, as materialize and net_chunks read it
     with pytest.raises(LoopEdgeError):
         normalize_event(3, 3, 0)
+    # the message names the sorted pair, as net_chunks names the event
+    with pytest.raises(OutOfUniverseError, match=r"^endpoint outside \[1, 5\]: \(2, 9\)$"):
+        normalize_event(9, 2, 1, n=5)
+    with pytest.raises(OutOfUniverseError, match=r"\(2, 9\)$"):
+        net_chunks([events_to_arrays([EdgeEvent(2, 9, 1)])], StreamConfig(n=5, m_max=1))
 
 
 def test_config_validation():
@@ -104,6 +109,13 @@ def test_read_stream_error_carries_line_number():
     assert err.value.line == 3
     with pytest.raises(StreamFormatError, match="integers"):
         read_stream(io.StringIO("+ a 2\n"))
+    # without n the universe is [1, MAX_ID], since no edge key holds a larger id
+    for read in (read_stream, lambda f: list(read_chunks(f))):
+        with pytest.raises(OutOfUniverseError, match=r"^line 1: endpoint outside") as err:
+            read(io.StringIO("+ 1 99999999999\n"))
+        assert err.value.line == 1
+    assert read_stream(io.StringIO(f"+ {MAX_ID} {MAX_ID - 1}\n")) == [
+        EdgeEvent(MAX_ID - 1, MAX_ID, 1)]
 
 
 event_lists = st.lists(
@@ -368,7 +380,7 @@ def _argsort_calls(monkeypatch, stream, n, size=None):
     chunks = _chunks(stream, size)
     with monkeypatch.context() as m:
         m.setattr(np, "argsort", spy)
-        net_chunks(chunks, StreamConfig(n=n, m_max=len(stream)))
+        net_chunks(chunks, StreamConfig(n=n, m_max=sum(c[0].size for c in chunks)))
     return len(calls)
 
 
@@ -388,6 +400,14 @@ def test_net_chunks_chooses_the_sort_from_the_ids_read(monkeypatch):
     high = [EdgeEvent(MAX_ID - 1, MAX_ID, 1), EdgeEvent(1, MAX_ID, 1), EdgeEvent(1, MAX_ID, -1)]
     stream = events[:40] + high + events[40:60]
     assert _argsort_calls(monkeypatch, stream, MAX_ID, 7) == 2 * (len(_chunks(stream, 7)) - 40 // 7)
+    # chunks of the CLI's size whose largest ids are 0.6, 0.7 and 1.0 times
+    # the packed limit: doubling top stops at the limit, so all three pack
+    size = 1 << 16
+    limit = _packed_limit(size)
+    vs = np.concatenate([np.arange(high - size + 1, high + 1, dtype=np.int64)
+                         for high in (limit * 6 // 10, limit * 7 // 10, limit)])
+    triple = (np.ones_like(vs), vs, np.ones_like(vs))
+    assert _argsort_calls(monkeypatch, triple, MAX_ID, size) == 0
 
 
 def test_net_chunks_rekeys_the_live_edges_as_the_ids_grow():
